@@ -43,8 +43,6 @@ from .groups import (
     OracleElement,
     Vec,
     default_length,
-    matrix_power,
-    _vec_mat,
 )
 from .protocols import PublicParams1, p1_round, p1_setup
 from .seeding import derive_seed
@@ -188,17 +186,20 @@ class _EchelonLattice:
 
 
 @lru_cache(maxsize=256)
-def _window_lattice(group: GroupParams, gen: Vec, window: int) -> _EchelonLattice:
-    """HNF basis of span{gen M^k : -K <= k <= K}, scaled by det(M)^K."""
-    lat = _EchelonLattice(group.m)
-    det = group.det
+def _window_lattice(matrix: IntMatrix, gen: Vec, window: int) -> _EchelonLattice:
+    """HNF basis of span{gen M^k : -K <= k <= K}, scaled by det(M)^K.
+
+    Keyed on the matrix so that the cache pins no group (nor its power memo).
+    """
+    det = matrix.det
+    up, down = [gen], [gen]  # gen M^k and gen adj(M)^k = det^k gen M^-k
+    for _ in range(window):
+        up.append(up[-1] @ matrix)
+        down.append(down[-1] @ matrix.adjugate)
+    lat = _EchelonLattice(matrix.dim)
     for k in range(-window, window + 1):
-        if k >= 0:
-            row = _vec_mat(gen, matrix_power(group.matrix, k))
-            scale = det ** window
-        else:
-            row = _vec_mat(gen, matrix_power(group.adjugate, -k))
-            scale = det ** (window + k)
+        row = up[k] if k >= 0 else down[-k]
+        scale = det ** (window + min(k, 0))
         lat.add([e * scale for e in row])
     lat.normalize()
     return lat
@@ -244,7 +245,7 @@ def lattice_member(group: GroupParams, v, gen: Sequence[int],
         if num.denominator != 1:
             return MembershipVerdict(UNKNOWN, window)
         z.append(num.numerator)
-    lat = _window_lattice(group, gen, window)
+    lat = _window_lattice(group.matrix, gen, window)
     value = MEMBER if lat.contains(z) else NON_MEMBER_IN_WINDOW
     return MembershipVerdict(value, window)
 
@@ -266,7 +267,7 @@ def subset_distance(group: GroupParams, v, gen: Sequence[int],
         if num.denominator != 1:
             return _MAX_DIST + penalty
         z.append(num.numerator)
-    residual = _window_lattice(group, gen, window).reduce_nearest(z)
+    residual = _window_lattice(group.matrix, gen, window).reduce_nearest(z)
     return penalty + sum(abs(e).bit_length() for e in residual)
 
 

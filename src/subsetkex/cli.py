@@ -22,6 +22,7 @@ import argparse
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import attacks, serialize
@@ -156,10 +157,8 @@ def cmd_instance_p1(args) -> int:
     policy = _policy_from(args, args.seed)
     pub = p1_setup(group, u, v, w, args.range,
                    check_seed=derive_seed(args.seed, "check"))
-    policy_a = SamplePolicy(policy.max_length, policy.depth_cap,
-                            seed=derive_seed(args.seed, "alice"))
-    policy_b = SamplePolicy(policy.max_length, policy.depth_cap,
-                            seed=derive_seed(args.seed, "bob"))
+    policy_a = replace(policy, seed=derive_seed(args.seed, "alice"))
+    policy_b = replace(policy, seed=derive_seed(args.seed, "bob"))
     alice, msg_a, bob, _ = p1_round(pub, policy_a, policy_b)
     _emit(args, {
         "protocol": "p1",
@@ -247,9 +246,8 @@ def cmd_kex_p1(args) -> int:
                    check_seed=derive_seed(master, "check"))
     seed_a = derive_seed(master, "alice")
     seed_b = derive_seed(master, "bob")
-    policy_a = SamplePolicy(policy.max_length, policy.depth_cap, seed=seed_a)
-    policy_b = SamplePolicy(policy.max_length, policy.depth_cap, seed=seed_b)
-    alice, msg_a, bob, msg_b = p1_round(pub, policy_a, policy_b)
+    alice, msg_a, bob, msg_b = p1_round(
+        pub, replace(policy, seed=seed_a), replace(policy, seed=seed_b))
     key_a, key_b = p1_keys(pub, alice, msg_b, bob, msg_a)
     _emit(args, {
         "protocol": "p1",
@@ -295,15 +293,10 @@ def cmd_kex_p2(args) -> int:
     seed_a = derive_seed(master, "alice")
     seed_b = derive_seed(master, "bob")
     seed_x = derive_seed(master, "exchange")
-    alice = p2_party_setup(
-        pub, u_alice,
-        SamplePolicy(policy.max_length, policy.depth_cap, seed=seed_a), krange)
-    bob = p2_party_setup(
-        pub, u_bob,
-        SamplePolicy(policy.max_length, policy.depth_cap, seed=seed_b), krange)
+    alice = p2_party_setup(pub, u_alice, replace(policy, seed=seed_a), krange)
+    bob = p2_party_setup(pub, u_bob, replace(policy, seed=seed_b), krange)
     _, msgs, keys = p2_exchange_full(
-        pub, alice, bob,
-        SamplePolicy(policy.max_length, policy.depth_cap, seed=seed_x))
+        pub, alice, bob, replace(policy, seed=seed_x))
     _emit(args, {
         "protocol": "p2",
         "params": {

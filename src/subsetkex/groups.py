@@ -20,6 +20,17 @@ suite as an independent cross-check of the group arithmetic.
 Words over the generator tokens ``x1, x1^-1, ..., xm, xm^-1, t, t^-1`` are
 plain tuples of strings; ``GroupParams.evaluate`` folds them into normal
 forms and ``GroupElement.to_word`` is a (capped) unary section of that map.
+
+Validation happens once, at the public boundary: direct ``GroupElement``
+construction, ``GroupParams.element``, ``phi_power`` and
+``preimage_under_phi`` coerce and check their inputs.  Internally there is
+one Britton reduction routine, and results already known to be reduced are
+wrapped by a trusted constructor that does not test reducedness again.
+``evaluate`` folds one token at a time over the state t^p v t^-q without a
+reduction test for x-tokens or t: appending x_i^(+-1) adds +-(row i of
+M^q) to v, and for q >= 1 that row lies in Im M, so v stays outside Im M
+exactly when it was; t either cancels a t^-1 or (q = 0) moves v to v M.
+Only t^-1 with q = 0 < p can cancel, and it costs one preimage test.
 """
 
 from __future__ import annotations
@@ -27,7 +38,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -51,6 +63,10 @@ TOKEN_STABLE_INV = "t^-1"
 _GEN_TOKEN = re.compile(r"^x([1-9][0-9]*)(\^-1)?$")
 
 DEFAULT_WORD_CAP = 10_000
+
+# signed powers with |k| up to this bound are memoised per group; larger
+# ones (orbit-dh exponents reach 2^20) are recomputed rather than retained
+POWER_MEMO_BOUND = 64
 
 
 class WordCapExceeded(ValueError):
@@ -133,11 +149,8 @@ def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _mat_mul_rows(a, b) -> tuple:
-    n = len(a)
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
 
 
 def _identity_rows(n: int) -> tuple:
@@ -200,24 +213,17 @@ class IntMatrix:
             raise ValueError("matrix dimension mismatch")
         return IntMatrix(_mat_mul_rows(self.rows, other.rows))
 
-
-@lru_cache(maxsize=1024)
-def _matrix_power_small(mat: IntMatrix, k: int) -> IntMatrix:
-    if k == 0:
-        return IntMatrix(_identity_rows(mat.dim))
-    if k == 1:
-        return mat
-    half = _matrix_power_small(mat, k // 2)
-    sq = half @ half
-    return sq @ mat if k % 2 else sq
+    def __rmatmul__(self, v) -> Vec:
+        """Row vector times matrix: ``v @ M``."""
+        if len(v) != self.dim:
+            raise ValueError("vector dimension mismatch")
+        return _vec_mat(v, self.rows)
 
 
 def matrix_power(mat: IntMatrix, k: int) -> IntMatrix:
-    """M**k for k >= 0 by square-and-multiply; small powers are memoised."""
+    """M**k for k >= 0 by square-and-multiply."""
     if k < 0:
         raise ValueError("matrix power requires a nonnegative exponent")
-    if k <= 64:
-        return _matrix_power_small(mat, k)
     rows = _identity_rows(mat.dim)
     base = mat.rows
     while k:
@@ -229,10 +235,8 @@ def matrix_power(mat: IntMatrix, k: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def _vec_mat(v: Vec, mat: IntMatrix) -> Vec:
-    rows = mat.rows
-    n = len(rows)
-    return tuple(sum(v[i] * rows[i][j] for i in range(n)) for j in range(n))
+def _vec_mat(v: Vec, rows: tuple) -> Vec:
+    return tuple(sum(map(mul, v, col)) for col in zip(*rows))
 
 
 def _vec_add(a: Vec, b: Vec) -> Vec:
@@ -312,18 +316,30 @@ class GroupParams:
         Exact: w = v adj(M) / det(M), accepted only when the division has no
         remainder in every coordinate.
         """
-        v = tuple(int(e) for e in v)
+        v = tuple(map(int, v))
         if len(v) != self.m:
             raise ValueError("vector dimension mismatch")
-        u = _vec_mat(v, self.adjugate)
         det = self.det
         out = []
-        for e in u:
+        for e in _vec_mat(v, self.adjugate.rows):
             q, r = divmod(e, det)
             if r:
                 return None
             out.append(q)
         return tuple(out)
+
+    @cached_property
+    def _powers(self) -> dict:
+        return {}
+
+    def _power(self, k: int) -> IntMatrix:
+        """M**k for k >= 0, adj(M)**-k = det**-k M**k for k < 0 (memoised)."""
+        mat = self._powers.get(k)
+        if mat is None:
+            mat = matrix_power(self.matrix if k >= 0 else self.adjugate, abs(k))
+            if abs(k) <= POWER_MEMO_BOUND:
+                self._powers[k] = mat
+        return mat
 
     def phi_power(self, v: Iterable[int], k: int) -> Vec:
         """v M**k for k >= 0 (square-and-multiply on M)."""
@@ -334,7 +350,7 @@ class GroupParams:
             raise ValueError("vector dimension mismatch")
         if k == 0:
             return v
-        return _vec_mat(v, matrix_power(self.matrix, k))
+        return _vec_mat(v, self._power(k).rows)
 
     def rational_phi_power(self, v: Sequence[Fraction], k: int) -> tuple:
         """v M**k over the rationals, for any integer k."""
@@ -342,12 +358,8 @@ class GroupParams:
             raise ValueError("vector dimension mismatch")
         if k == 0:
             return tuple(Fraction(e) for e in v)
-        if k > 0:
-            rows = matrix_power(self.matrix, k).rows
-            scale = 1
-        else:
-            rows = matrix_power(self.adjugate, -k).rows
-            scale = self.det ** (-k)
+        rows = self._power(k).rows
+        scale = 1 if k > 0 else self.det ** (-k)
         n = self.m
         return tuple(
             Fraction(sum(v[i] * rows[i][j] for i in range(n)), scale)
@@ -355,17 +367,27 @@ class GroupParams:
         )
 
     def element(self, p: int, v: Iterable[int], q: int) -> "GroupElement":
-        """Britton-reduce the triple t^p v t^-q into a normal form.
-
-        While p > 0, q > 0 and v lies in the image of M, one t on each side
-        is cancelled against the preimage; this terminates within
-        min(p, q) steps.
-        """
+        """Britton-reduce the triple t^p v t^-q into a normal form."""
         p = int(p)
         q = int(q)
         v = tuple(int(e) for e in v)
         if p < 0 or q < 0:
             raise ValueError("stable exponents must be nonnegative")
+        if len(v) != self.m:
+            raise ValueError("vector dimension mismatch")
+        return self._reduce(p, v, q)
+
+    def _reduce(self, p: int, v: Vec, q: int) -> "GroupElement":
+        """Britton reduction of an already validated triple.
+
+        While p > 0, q > 0 and v lies in the image of M, one t on each side
+        is cancelled against the preimage; this terminates within
+        min(p, q) steps.  v = 0 cancels them all at once.
+        """
+        if not any(v):
+            k = min(p, q)
+            p -= k
+            q -= k
         while p > 0 and q > 0:
             w = self.preimage_under_phi(v)
             if w is None:
@@ -373,29 +395,57 @@ class GroupParams:
             p -= 1
             q -= 1
             v = w
-        return GroupElement(self, p, v, q)
+        return _reduced(self, p, v, q)
 
     @cached_property
-    def _token_elements(self) -> dict:
-        table = {}
-        for i in range(1, self.m + 1):
-            g = self.generator(i)
-            table[make_token(i)] = g
-            table[make_token(i, inverse=True)] = g.inverse()
-        table[TOKEN_STABLE] = self.stable_power(1)
-        table[TOKEN_STABLE_INV] = self.stable_power(-1)
-        return table
+    def _generator_steps(self) -> dict:  # x-token -> (coordinate, sign)
+        steps = {}
+        for i in range(self.m):
+            steps[make_token(i + 1)] = (i, 1)
+            steps[make_token(i + 1, inverse=True)] = (i, -1)
+        return steps
 
     def evaluate(self, word: Sequence[str]) -> "GroupElement":
-        """Fold a token word into its normal form (empty word is identity)."""
-        table = self._token_elements
-        g = self.identity()
+        """Fold a token word into its normal form (empty word is identity).
+
+        t^p v t^-q stays reduced after each token (see the module docstring).
+        """
+        steps = self._generator_steps
+        p = q = 0
+        v = [0] * self.m
         for tok in word:
-            try:
-                g = g * table[tok]
-            except KeyError:
-                raise ValueError(f"unknown token {tok!r}") from None
-        return g
+            if tok == TOKEN_STABLE:
+                if q:
+                    q -= 1
+                else:
+                    p += 1
+                    v = list(_vec_mat(v, self.matrix.rows))
+            elif tok == TOKEN_STABLE_INV:
+                w = self.preimage_under_phi(v) if p and not q else None
+                if w is None:
+                    q += 1
+                else:
+                    p -= 1
+                    v = list(w)
+            else:
+                try:
+                    i, sign = steps[tok]
+                except KeyError:
+                    raise ValueError(f"unknown token {tok!r}") from None
+                if not q:
+                    v[i] += sign
+                elif sign > 0:
+                    v = [a + b for a, b in zip(v, self._power(q).rows[i])]
+                else:
+                    v = [a - b for a, b in zip(v, self._power(q).rows[i])]
+        return _reduced(self, p, tuple(v), q)
+
+
+def _reduced(group: GroupParams, p: int, v: Vec, q: int) -> "GroupElement":
+    """Trusted constructor: wraps a triple already known to be reduced."""
+    g = object.__new__(GroupElement)
+    g.__dict__.update(group=group, p=p, v=v, q=q)  # bypasses frozen __setattr__
+    return g
 
 
 @dataclass(frozen=True)
@@ -430,17 +480,21 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         g = self.group
-        if other.group != g:
+        if other.group is not g and other.group != g:
             raise ValueError("elements belong to different groups")
         p1, v1, q1 = self.p, self.v, self.q
         p2, v2, q2 = other.p, other.v, other.q
         if q1 >= p2:
-            return g.element(p1, _vec_add(v1, g.phi_power(v2, q1 - p2)), q1 - p2 + q2)
-        return g.element(p1 + p2 - q1, _vec_add(g.phi_power(v1, p2 - q1), v2), q2)
+            k = q1 - p2
+            if k:
+                v2 = _vec_mat(v2, g._power(k).rows)
+            return g._reduce(p1, _vec_add(v1, v2), k + q2)
+        k = p2 - q1
+        return g._reduce(p1 + k, _vec_add(_vec_mat(v1, g._power(k).rows), v2), q2)
 
     def inverse(self) -> "GroupElement":
         # (t^p v t^-q)^-1 = t^q (-v) t^-p, reduced by symmetry of the invariant
-        return GroupElement(self.group, self.q, _vec_neg(self.v), self.p)
+        return _reduced(self.group, self.q, _vec_neg(self.v), self.p)
 
     def conj_t(self, k: int) -> "GroupElement":
         """t^-k * self * t^k as a reduced element (k may be negative)."""

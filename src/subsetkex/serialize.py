@@ -13,7 +13,9 @@ vector encodings; matrix entries are plain JSON integers.
 
 Decoders validate shape strictly (exact key sets, value types) and raise
 SchemaError; anything structural beyond that (say, an empty-language
-grammar) surfaces as the owning module's error.
+grammar) surfaces as the owning module's error.  Element stable exponents
+above MAX_STABLE_EXPONENT are refused: Britton reduction may take one step
+per unit of min(p, q), so a few bytes of JSON could otherwise stall it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .grammars import CFGrammar, SamplePolicy
 from .groups import GroupElement, GroupParams, IntMatrix, is_valid_token
 
 __all__ = [
+    "MAX_STABLE_EXPONENT",
     "SchemaError",
     "dumps",
     "loads",
@@ -42,6 +45,9 @@ __all__ = [
     "encode_policy",
     "decode_policy",
 ]
+
+
+MAX_STABLE_EXPONENT = 1 << 16
 
 
 class SchemaError(ValueError):
@@ -133,6 +139,8 @@ def decode_element(group: GroupParams, obj) -> GroupElement:
     _require_keys(obj, ("p", "v", "q"), "element")
     p = _as_int(obj["p"], "element field 'p'")
     q = _as_int(obj["q"], "element field 'q'")
+    if max(p, q) > MAX_STABLE_EXPONENT:
+        raise SchemaError(f"element stable exponents exceed {MAX_STABLE_EXPONENT}")
     v = decode_vector(obj["v"], group.m)
     try:
         return group.element(p, v, q)

@@ -1,9 +1,11 @@
 """CLI: subcommand behaviour, exit codes, byte-level determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from subsetkex import cli
 from subsetkex.cli import main
 
 
@@ -168,3 +170,38 @@ def test_transcript_reparse_roundtrip(capsys, params_file):
                     "--params", params_file)
     obj = json.loads(out)
     assert json.dumps(obj, separators=(",", ":")) + "\n" == out
+
+
+def _with_bias(path):
+    obj = json.loads(path.read_text())
+    obj["params"]["policy"]["terminal_bias"] = "1/2"
+    path.write_text(json.dumps(obj))
+
+
+def test_instance_terminal_bias_reaches_samplers(capsys, tmp_path, params_file,
+                                                 monkeypatch):
+    paths = []
+    for protocol in ("p1", "p2"):
+        ipath = tmp_path / f"{protocol}.json"
+        code, _, _ = run(capsys, "instance", protocol, "gen", "--params",
+                         params_file, "--seed", "4", "--out", str(ipath))
+        assert code == 0
+        _with_bias(ipath)
+        paths.append((protocol, ipath))
+    seen = []
+
+    def spy(original, *picks):
+        def wrapper(*args):
+            seen.extend(args[i] for i in picks)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "p1_round", spy(cli.p1_round, 1, 2))
+    monkeypatch.setattr(cli, "p2_party_setup", spy(cli.p2_party_setup, 2))
+    monkeypatch.setattr(cli, "p2_exchange_full", spy(cli.p2_exchange_full, 3))
+    for protocol, ipath in paths:
+        code, _, _ = run(capsys, "kex", protocol, "simulate",
+                         "--instance", str(ipath))
+        assert code == 0
+    assert len(seen) == 5  # p1: alice, bob; p2: alice, bob, exchange
+    assert all(policy.terminal_bias == Fraction(1, 2) for policy in seen)

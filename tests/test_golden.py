@@ -1,0 +1,89 @@
+"""Behaviour lock: README commands and demos must reproduce recorded bytes.
+
+The transcripts under ``tests/golden/`` lock the seeded output contract:
+any refactor that moves a byte of it fails here.  Regenerate them only on
+purpose, from the repository root, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from subsetkex.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# the README's "Command line" block, in order; later commands read the
+# files that earlier ones wrote
+README_COMMANDS = tuple(
+    line
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    if line.startswith("subsetkex "))
+
+DEMOS = tuple(sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+
+# the one wall-clock figure a demo prints
+_TIMING = re.compile(r"\(computed in [0-9.]+s\)")
+
+
+def cli_transcript(workdir: Path) -> str:
+    """Run the README commands in ``workdir``: exit code, stdout, --out file."""
+    parts = []
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for line in README_COMMANDS:
+            argv = shlex.split(line)[1:]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            text = out.getvalue()
+            if "--out" in argv:
+                text += Path(argv[argv.index("--out") + 1]).read_text()
+            parts.append(f"$ {line}\n[exit {code}]\n{text}")
+    finally:
+        os.chdir(cwd)
+    return "".join(parts)
+
+
+def demo_transcript(name: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)], cwd=ROOT, env=env,
+        capture_output=True, text=True, check=True, timeout=120)
+    return _TIMING.sub("(computed in …s)", proc.stdout)
+
+
+def test_cli_readme_commands_match_golden(tmp_path):
+    expected = (GOLDEN / "cli.txt").read_text(encoding="utf-8")
+    assert cli_transcript(tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_matches_golden(name):
+    expected = (GOLDEN / f"{Path(name).stem}.txt").read_text(encoding="utf-8")
+    assert demo_transcript(name) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "cli.txt").write_text(cli_transcript(Path(tmp)),
+                                        encoding="utf-8")
+    for demo in DEMOS:
+        (GOLDEN / f"{Path(demo).stem}.txt").write_text(
+            demo_transcript(demo), encoding="utf-8")

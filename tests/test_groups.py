@@ -1,12 +1,16 @@
 """Group arithmetic: normal forms, words, and the rational oracle."""
 
+import operator
 import random
+import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subsetkex import (
+    GroupElement,
     GroupParams,
     IntMatrix,
     OracleElement,
@@ -15,6 +19,7 @@ from subsetkex import (
     invert_token,
     word_inverse,
 )
+from subsetkex.groups import token_dimension
 from conftest import random_element, random_params, random_vec, random_word
 
 
@@ -71,6 +76,16 @@ def test_britton_reduction_cases(bs2):
     # same group element: compare raw-triple oracle images
     lhs = OracleElement(bs2, (Fraction(4, 4),), 1)  # 4 * 2^-2, d = 2 - 1
     assert g.oracle() == lhs
+
+
+def test_britton_zero_vector_short_circuit(upper2):
+    # t^p 0 t^-q = t^(p-q) needs no preimage tests, however large p and q
+    t0 = time.perf_counter()
+    g = upper2.element(10 ** 6, (0, 0), 10 ** 6)
+    h = upper2.element(10 ** 6, (0, 0), 10 ** 6 + 3)
+    assert time.perf_counter() - t0 < 0.1
+    assert g.is_identity()
+    assert h == upper2.stable_power(-3)
 
 
 def test_britton_idempotent(bs2):
@@ -136,6 +151,11 @@ def test_evaluate_word(bs2):
     assert bs2.evaluate(("x1", "x1^-1")).is_identity()
     with pytest.raises(ValueError):
         bs2.evaluate(("y1",))
+    # the trailing t^-1 cancels against (2,) = (1,) M
+    assert bs2.evaluate(("t", "x1", "x1", "t^-1")) == bs2.base((1,))
+    # x1 appended at p = q = 1 adds row 1 of M^1 = (2,)
+    g = bs2.evaluate(("t", "x1", "t^-1", "x1"))
+    assert (g.p, g.v, g.q) == (1, (3,), 1)
 
 
 def test_to_word_round_trip(bs2, upper2):
@@ -281,3 +301,58 @@ def test_group_axioms_property(data):
     assert g * group.identity() == g
     assert (g * g.inverse()).is_identity()
     assert (g * h).oracle() == g.oracle() * h.oracle()
+
+
+# m = 1..3; in each dimension one matrix each with det 1, -1, 2, -2 and 6
+FOLD_MATRICES = (
+    ((1,),), ((-1,),), ((2,),), ((-2,),), ((6,),),
+    ((1, 1), (0, 1)), ((0, 1), (1, 0)), ((2, 1), (0, 1)), ((1, 2), (1, 0)),
+    ((2, 1), (0, 3)),
+    ((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((0, 1, 0), (1, 0, 0), (0, 1, 1)),
+    ((2, 0, 0), (1, 1, 0), (0, 1, 1)), ((1, 0, 1), (0, -2, 0), (0, 0, 1)),
+    ((1, 1, 0), (0, 2, 1), (0, 0, 3)),
+)
+
+
+@st.composite
+def group_and_word(draw):
+    group = GroupParams(IntMatrix(draw(st.sampled_from(FOLD_MATRICES))))
+    toks = group.tokens()
+    xs = toks[:-2]
+    pieces = draw(st.lists(st.one_of(
+        st.lists(st.sampled_from(toks), max_size=6),
+        # t^a (x-word) t^-b (x-word): the first t^-1 cancels when the x-word
+        # lands in Im M; otherwise the trailing x-tokens arrive at p, q > 0
+        st.builds(lambda a, body, b, tail: ["t"] * a + body + ["t^-1"] * b + tail,
+                  st.integers(1, 3), st.lists(st.sampled_from(xs), max_size=6),
+                  st.integers(1, 3), st.lists(st.sampled_from(xs), max_size=3)),
+    ), max_size=4))
+    return group, tuple(tok for piece in pieces for tok in piece)
+
+
+def _token_oracle(group, tok):
+    sign = -1 if tok.endswith("^-1") else 1
+    i = token_dimension(tok)
+    if i == 0:
+        return OracleElement(group, (0,) * group.m, sign)
+    return OracleElement(
+        group, tuple(sign if j == i - 1 else 0 for j in range(group.m)), 0)
+
+
+def _token_element(group, tok):
+    i = token_dimension(tok)
+    g = group.generator(i) if i else group.stable_power(1)
+    return g.inverse() if tok.endswith("^-1") else g
+
+
+@settings(max_examples=400, deadline=None)
+@given(group_and_word())
+def test_evaluate_fold_matches_token_products(data):
+    group, word = data
+    e = group.evaluate(word)
+    assert e.oracle() == reduce(
+        operator.mul, (_token_oracle(group, tok) for tok in word),
+        OracleElement.neutral(group))
+    assert GroupElement(group, e.p, e.v, e.q) == e
+    assert e == reduce(operator.mul, (_token_element(group, tok) for tok in word),
+                       group.identity())

@@ -1,5 +1,7 @@
 """Wire formats: canonical emission, strict decoding, byte-stable round trips."""
 
+import time
+
 import pytest
 
 from subsetkex import (
@@ -11,6 +13,7 @@ from subsetkex import (
     orbit_spec,
 )
 from subsetkex.serialize import (
+    MAX_STABLE_EXPONENT,
     SchemaError,
     decode_element,
     decode_grammar,
@@ -74,6 +77,18 @@ def test_element_schema_errors(bs2):
         decode_element(bs2, {"p": 0, "v": ["1", "2"], "q": 0})
     with pytest.raises(SchemaError):
         decode_element(bs2, {"p": -1, "v": ["1"], "q": 0})
+
+
+def test_element_stable_exponent_bound(flat2):
+    # every vector lies in Im M for the identity action, so reducing this
+    # triple would take 10^9 preimage steps
+    text = '{"p":1000000000,"v":["1","0"],"q":1000000000}'
+    t0 = time.perf_counter()
+    with pytest.raises(SchemaError):
+        decode_element(flat2, loads(text))
+    assert time.perf_counter() - t0 < 0.1
+    edge = {"p": MAX_STABLE_EXPONENT, "v": ["0", "0"], "q": MAX_STABLE_EXPONENT}
+    assert decode_element(flat2, edge).is_identity()
 
 
 def test_vector_and_word(bs2):
