@@ -3,7 +3,8 @@
 The greedy walk works one subgroup generator at a time; the beam descent
 works down the published grammar's derivations.  Success is certified: the
 recovered pair must reproduce the intercepted message exactly and commute
-with samples of the opposite subset.
+with the opposite subset (certified in the abelian base hull, sampled
+outside it).
 """
 
 from subsetkex import (

@@ -14,8 +14,9 @@ rational semidirect model, scaled by det(M)^K, and solved against the
 Hermite-normal-form basis of the window lattice spanned by gen M^k for
 |k| <= K.  A "member" verdict is a certificate; "unknown" only means the
 window was too small to scale the candidate.  Success additionally requires
-the recovered pair to reproduce the target exactly and to commute with
-samples of the opposite subset, so the harness cannot report a false break.
+the recovered pair to reproduce the target exactly and to commute with the
+opposite subset (certified in the abelian base hull, sampled outside it),
+so the harness cannot report a false break.
 
 Experiment sweeps are reproducible: per-trial seeds derive from one master
 seed and the timing column uses an injectable clock that defaults to a
@@ -217,34 +218,49 @@ class MembershipVerdict:
         return self.value == MEMBER
 
 
-def _as_oracle_parts(group: GroupParams, v):
+def _scaled_point(group: GroupParams, v, window: int):
+    """(d, z): the t-exponent of v and its base part scaled by det^window.
+
+    z is None when not integral.  For t^p u t^-q, whose base part is
+    u M^-p = u adj(M)^p / det^p, z stays in the integers.
+    """
+    if isinstance(v, GroupElement):
+        z, d = v.v @ group._power(-v.p), v.p - v.q
+        if window >= v.p:
+            return d, [e * group.det ** (window - v.p) for e in z]
+        div = group.det ** (v.p - window)
+        return d, None if any(e % div for e in z) else [e // div for e in z]
     if isinstance(v, OracleElement):
-        return v.a, v.d
-    return tuple(Fraction(int(e)) for e in v), 0
+        a, d = v.a, v.d
+    else:
+        a, d = tuple(Fraction(int(e)) for e in v), 0
+    scale = group.det ** window
+    z = []
+    for f in a:
+        num = f * scale
+        if num.denominator != 1:
+            return d, None
+        z.append(num.numerator)
+    return d, z
 
 
 def lattice_member(group: GroupParams, v, gen: Sequence[int],
                    window: int) -> MembershipVerdict:
     """Decide membership in the integer span of gen M^k for |k| <= window.
 
-    ``v`` may be a base vector or an oracle point (a, d).  A nonzero
-    stable-letter exponent d can never lie in the base hull, so it is a
-    certified non-member.  Denominators beyond det^window cannot be scaled
-    into the window and come back "unknown".  "member" is exact.
+    ``v`` may be a base vector, a group element or an oracle point (a, d).
+    A nonzero stable-letter exponent d can never lie in the base hull, so it
+    is a certified non-member.  Denominators beyond det^window cannot be
+    scaled into the window and come back "unknown".  "member" is exact.
     """
     if window < 0:
         raise ValueError("window must be nonnegative")
     gen = tuple(int(e) for e in gen)
-    a, d = _as_oracle_parts(group, v)
+    d, z = _scaled_point(group, v, window)
     if d != 0:
         return MembershipVerdict(NON_MEMBER_IN_WINDOW, window)
-    scale = group.det ** window
-    z = []
-    for f in a:
-        num = f * scale
-        if num.denominator != 1:
-            return MembershipVerdict(UNKNOWN, window)
-        z.append(num.numerator)
+    if z is None:
+        return MembershipVerdict(UNKNOWN, window)
     lat = _window_lattice(group.matrix, gen, window)
     value = MEMBER if lat.contains(z) else NON_MEMBER_IN_WINDOW
     return MembershipVerdict(value, window)
@@ -258,15 +274,10 @@ def subset_distance(group: GroupParams, v, gen: Sequence[int],
     cannot be scaled into the window score as maximally distant.
     """
     gen = tuple(int(e) for e in gen)
-    a, d = _as_oracle_parts(group, v)
+    d, z = _scaled_point(group, v, window)
     penalty = _T_PENALTY * abs(d)
-    scale = group.det ** window
-    z = []
-    for f in a:
-        num = f * scale
-        if num.denominator != 1:
-            return _MAX_DIST + penalty
-        z.append(num.numerator)
+    if z is None:
+        return _MAX_DIST + penalty
     residual = _window_lattice(group.matrix, gen, window).reduce_nearest(z)
     return penalty + sum(abs(e).bit_length() for e in residual)
 
@@ -324,23 +335,25 @@ def verify_break(pub: PublicParams1, target1: GroupElement,
     """Sufficient condition for computing the shared key from two cracks.
 
     Requires a w b = target1 and c w d = target2 exactly, plus a commuting
-    with samples of the right subset and b with samples of the left one
-    (spot-checked); then a c w d b reproduces the session key.
+    with the right subset and b with the left one; then a c w d b reproduces
+    the session key.  A factor with p == q and a ``t_balanced`` subset both
+    lie in the abelian base hull (the kernel of t -> 1), which certifies
+    that half; any other half is checked on ``trials`` samples.
     """
     if a * pub.w * b != target1:
         return False
     if c * pub.w * d != target2:
         return False
+    halves = [(x, spec, label) for x, spec, label in
+              ((a, pub.spec_b, "verify.b"), (b, pub.spec_a, "verify.a"))
+              if not (x.p == x.q and spec.grammar.t_balanced)]
     policy = SamplePolicy(max_length=24, depth_cap=4)
     for i in range(trials):
-        sb = pub.spec_b.sample_element(
-            replace(policy, seed=derive_seed(seed, "verify.b", i)))
-        if a * sb != sb * a:
-            return False
-        sa = pub.spec_a.sample_element(
-            replace(policy, seed=derive_seed(seed, "verify.a", i)))
-        if b * sa != sa * b:
-            return False
+        for x, spec, label in halves:
+            s = spec.sample_element(
+                replace(policy, seed=derive_seed(seed, label, i)))
+            if x * s != s * x:
+                return False
     return True
 
 
@@ -354,19 +367,18 @@ def _right_factor_tools(instance: AttackInstance, window: Optional[int]):
     gen_b = extract_orbit_generator(instance.pub.spec_b)
 
     def is_member(b: GroupElement) -> bool:
-        verdict = lattice_member(group, b.oracle(), gen_b,
+        verdict = lattice_member(group, b, gen_b,
                                  _membership_window(b, window))
         return verdict.is_member
 
     def distance(b: GroupElement) -> int:
-        return subset_distance(group, b.oracle(), gen_b,
+        return subset_distance(group, b, gen_b,
                                _membership_window(b, window))
 
     return is_member, distance
 
 
 def rst_greedy(instance: AttackInstance,
-               ell: Callable[[GroupElement], int] = default_length,
                dist: Optional[Callable[[GroupElement], int]] = None,
                max_iter: int = 200, window: Optional[int] = None,
                verify_trials: int = 32,
@@ -381,7 +393,6 @@ def rst_greedy(instance: AttackInstance,
     """
     if instance.gens_a is None:
         raise ValueError("rst_greedy needs generator mode (gens_a supplied)")
-    del ell  # the default score is lattice-based; ell kept for signature parity
     pub = instance.pub
     is_member, default_dist = _right_factor_tools(instance, window)
     score = dist if dist is not None else default_dist

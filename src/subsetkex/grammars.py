@@ -26,6 +26,8 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .groups import (
+    TOKEN_STABLE,
+    TOKEN_STABLE_INV,
     GroupElement,
     GroupParams,
     invert_token,
@@ -65,6 +67,8 @@ RANGE_NATURALS = "naturals"
 RANGE_INTEGERS = "integers"
 
 _SAMPLE_ATTEMPTS = 64
+
+_T_BALANCE = {TOKEN_STABLE: 1, TOKEN_STABLE_INV: -1}
 
 
 class GrammarError(ValueError):
@@ -174,6 +178,44 @@ class CFGrammar:
             if kept:
                 table[lhs] = kept
         return table
+
+    @cached_property
+    def t_balanced(self) -> bool:
+        """Certificate that every word of the language has t-exponent sum 0.
+
+        A fixpoint over the productive rules (t counts +1, t^-1 counts -1)
+        gives each productive nonterminal the balance of its first evaluable
+        rule and refutes the certificate at any rule that disagrees.  Every
+        productive nonterminal has a rule over productive symbols, so each
+        pass evaluates at least one pending rule.
+        """
+        nts = self._nt_set
+        pending = []
+        for lhs, options in self._productive_rules_by_lhs.items():
+            for rhs in options:
+                total = 0
+                parts = []
+                for s in rhs:
+                    if s in nts:
+                        parts.append(s)
+                    else:
+                        total += _T_BALANCE.get(s, 0)
+                pending.append((lhs, total, parts))
+        balance: dict = {}
+        while pending:
+            waiting = []
+            for rule in pending:
+                lhs, total, parts = rule
+                for s in parts:
+                    if s not in balance:
+                        waiting.append(rule)
+                        break
+                    total += balance[s]
+                else:
+                    if balance.setdefault(lhs, total) != total:
+                        return False
+            pending = waiting
+        return balance[self.start] == 0
 
 
 def productive_check(grammar: CFGrammar) -> frozenset:

@@ -382,12 +382,15 @@ class GroupParams:
 
         While p > 0, q > 0 and v lies in the image of M, one t on each side
         is cancelled against the preimage; this terminates within
-        min(p, q) steps.  v = 0 cancels them all at once.
+        min(p, q) steps.  v = 0 cancels them all at once, and so does
+        |det M| = 1, where v M^-k = det^k v adj(M)^k is always integral.
         """
-        if not any(v):
-            k = min(p, q)
-            p -= k
-            q -= k
+        k = min(p, q)
+        if k and self.det in (1, -1):
+            v = tuple(self.det ** k * e for e in v @ self._power(-k))
+            p, q = p - k, q - k
+        elif k and not any(v):
+            p, q = p - k, q - k
         while p > 0 and q > 0:
             w = self.preimage_under_phi(v)
             if w is None:

@@ -14,8 +14,9 @@ Three desk-scale protocols, all exchanging exact normal forms:
 A full exchange is a pure function of public data and the parties' seeds:
 every random pick flows through labelled substreams of the policy seeds, so
 transcripts reproduce bit for bit.  Commutation of the published subsets is
-spot-checked at setup and any key disagreement raises instead of returning,
-so a silent mismatch cannot escape.
+certified at setup from their grammars (sampled only where the certificate
+fails) and any key disagreement raises instead of returning, so a silent
+mismatch cannot escape.
 """
 
 from __future__ import annotations
@@ -124,13 +125,15 @@ def p1_setup(group: GroupParams, u: Iterable[int], v: Iterable[int],
              check_policy: Optional[SamplePolicy] = None) -> PublicParams1:
     """Publish the subgroup closures of the conjugate orbits of u and v.
 
-    Elements of the two closures commute pairwise for any u, v; the spot
-    check guards the implementation, not the mathematics.
+    Closure words have t-exponent sum 0, so both images lie in the abelian
+    base hull (the kernel of t -> 1) and commute.  ``commutation_spot_check``
+    runs only when a grammar lacks that certificate (``t_balanced``).
     """
     spec_a = _closure_of_orbit(group, u, krange)
     spec_b = _closure_of_orbit(group, v, krange)
-    commutation_spot_check(spec_a, spec_b, trials=check_trials,
-                           seed=check_seed, policy=check_policy)
+    if not (spec_a.grammar.t_balanced and spec_b.grammar.t_balanced):
+        commutation_spot_check(spec_a, spec_b, trials=check_trials,
+                               seed=check_seed, policy=check_policy)
     return PublicParams1(group, w, spec_a, spec_b)
 
 
@@ -173,8 +176,8 @@ def p2_party_setup(pub: PublicParams2, u: Iterable[int], policy: SamplePolicy,
                    check_trials: int = 32) -> Party2State:
     """Anchor a secret in the orbit closure of u and publish that closure.
 
-    The closure is abelian, so every published sample commutes with the
-    anchor; the spot check enforces it anyway.
+    A ``t_balanced`` closure lies in the abelian base hull, anchor included;
+    only without that certificate are ``check_trials`` samples checked.
     """
     u = tuple(int(e) for e in u)
     if not any(u):
@@ -182,7 +185,7 @@ def p2_party_setup(pub: PublicParams2, u: Iterable[int], policy: SamplePolicy,
     spec = _closure_of_orbit(pub.group, u, krange)
     anchor = spec.sample_element(
         replace(policy, seed=derive_seed(policy.seed, "p2.anchor")))
-    for i in range(check_trials):
+    for i in range(0 if spec.grammar.t_balanced else check_trials):
         s = spec.sample_element(
             replace(policy, seed=derive_seed(policy.seed, "p2.check", i)))
         if s * anchor != anchor * s:

@@ -19,6 +19,17 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+# m = 1..3; in each dimension one matrix each with det 1, -1, 2, -2 and 6
+FOLD_MATRICES = (
+    ((1,),), ((-1,),), ((2,),), ((-2,),), ((6,),),
+    ((1, 1), (0, 1)), ((0, 1), (1, 0)), ((2, 1), (0, 1)), ((1, 2), (1, 0)),
+    ((2, 1), (0, 3)),
+    ((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((0, 1, 0), (1, 0, 0), (0, 1, 1)),
+    ((2, 0, 0), (1, 1, 0), (0, 1, 1)), ((1, 0, 1), (0, -2, 0), (0, 0, 1)),
+    ((1, 1, 0), (0, 2, 1), (0, 0, 3)),
+)
+
+
 def random_matrix(rng: random.Random, dim: int, bound: int = 3) -> IntMatrix:
     while True:
         rows = tuple(

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subsetkex import (
     AttackInstance,
@@ -15,6 +16,7 @@ from subsetkex import (
     MEMBER,
     NON_MEMBER_IN_WINDOW,
     OracleElement,
+    PublicParams1,
     SamplePolicy,
     SubsetSpec,
     UNKNOWN,
@@ -34,6 +36,7 @@ from subsetkex import (
 )
 from subsetkex.attacks import zero_clock
 from subsetkex.seeding import derive_seed
+from conftest import FOLD_MATRICES
 
 
 def brute_force_window_member(group, target, gen, window, coeff_bound=4):
@@ -139,6 +142,51 @@ def test_distance_zero_on_members(bs2):
     assert subset_distance(bs2, v, (1,), 2) == 0
     off = OracleElement(bs2, (Fraction(1),), 2)
     assert subset_distance(bs2, off, (1,), 2) >= 1 << 20
+
+
+@st.composite
+def membership_case(draw):
+    """A group element, an orbit generator and a window around its p.
+
+    Half the elements are products of conjugates t^-k gen t^k (members once
+    the window covers every |k|), half are arbitrary triples.
+    """
+    group = GroupParams(IntMatrix(draw(st.sampled_from(FOLD_MATRICES))))
+    gen = tuple(draw(st.integers(-2, 2)) for _ in range(group.m))
+    if not any(gen):
+        gen = (1,) + gen[1:]
+    if draw(st.booleans()):
+        elem = group.identity()
+        for _ in range(draw(st.integers(1, 3))):
+            conj = group.base(gen).conj_t(draw(st.integers(-3, 2)))
+            elem = elem * (conj if draw(st.booleans()) else conj.inverse())
+    else:
+        elem = group.element(
+            draw(st.integers(0, 4)),
+            tuple(draw(st.integers(-9, 9)) for _ in range(group.m)),
+            draw(st.integers(0, 4)))
+    window = max(0, elem.p + draw(st.integers(-2, 2)))
+    return group, elem, gen, window
+
+
+def test_integer_membership_matches_oracle():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(membership_case())
+    def check(case):
+        group, elem, gen, window = case
+        verdict = lattice_member(group, elem, gen, window)
+        assert verdict == lattice_member(group, elem.oracle(), gen, window)
+        assert (subset_distance(group, elem, gen, window)
+                == subset_distance(group, elem.oracle(), gen, window))
+        if elem.p == elem.q == 0:
+            assert verdict == lattice_member(group, elem.v, gen, window)
+        seen.add((verdict.value, (window > elem.p) - (window < elem.p)))
+
+    check()
+    assert {value for value, _ in seen} == {MEMBER, NON_MEMBER_IN_WINDOW, UNKNOWN}
+    assert {side for _, side in seen} == {-1, 0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +362,18 @@ def test_descent_beam_comparison_runs(flat2):
 # break verification
 
 
-def test_verify_break_genuine(upper2):
+def test_verify_break_genuine(upper2, monkeypatch):
     w = upper2.element(1, (1, -1), 1)
     pub = p1_setup(upper2, (1, 0), (0, 1), w)
     pol = SamplePolicy(max_length=12, depth_cap=3, seed=31)
     alice, msg_a, bob, msg_b = p1_round(
         pub, pol, SamplePolicy(max_length=12, depth_cap=3, seed=32))
+
+    def no_sampling(spec, policy):
+        raise AssertionError("certified commutation must not sample")
+
+    # hull factors against t-balanced subsets are certified without samples
+    monkeypatch.setattr(SubsetSpec, "sample_element", no_sampling)
     assert verify_break(pub, msg_a, msg_b, alice.a, alice.b, bob.b, bob.a)
 
 
@@ -339,6 +393,23 @@ def test_verify_break_wrong_commutator(upper2):
     a, b = t, t.inverse()
     assert a * w * b == w
     assert not verify_break(pub, w, w, a, b, a, b)
+
+
+def test_verify_break_samples_uncertified_half(upper2):
+    # a lies in the base hull, but the right subset <t> is not t-balanced
+    # and does not commute with a: only the sampled half can reject it
+    w = upper2.element(1, (1, -1), 1)
+    left = subgroup_closure(orbit_spec(upper2, ("x1",), "integers"))
+    right = subgroup_closure(orbit_spec(upper2, ("t",), "integers"))
+    assert left.grammar.t_balanced and not right.grammar.t_balanced
+    pub = PublicParams1(upper2, w, left, right)
+    a, b = upper2.base((1, 0)), upper2.base((0, 1))
+    target = a * w * b
+    assert not verify_break(pub, target, target, a, b, a, b)
+    # with the subsets swapped the right factor's half is the sampled one
+    swapped = PublicParams1(upper2, w, right, left)
+    target = b * w * a
+    assert not verify_break(swapped, target, target, b, a, b, a)
 
 
 def test_verify_break_central_shift(flat2):

@@ -5,9 +5,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from subsetkex import (
     CFGrammar,
+    GroupParams,
+    IntMatrix,
     GrammarError,
     RANGE_INTEGERS,
     RANGE_NATURALS,
@@ -303,6 +306,84 @@ def test_closure_samples_in_base_hull(bs2):
         g = closed.sample_element(
             SamplePolicy(max_length=18, depth_cap=3, seed=seed))
         assert g.oracle().d == 0
+
+
+# ---------------------------------------------------------------------------
+# t-balance certificate
+
+
+def t_sum(word):
+    return word.count("t") - word.count("t^-1")
+
+
+@st.composite
+def balance_grammar(draw):
+    """A small grammar over t, t^-1, x1, x2 and up to three nonterminals.
+
+    Each nonterminal gets a target balance; each rule is either left as
+    drawn or padded with t / t^-1 so that its balance meets its lhs target.
+    A grammar whose rules are all padded is consistent by construction.
+    """
+    nts = tuple(f"N{i}" for i in range(draw(st.integers(1, 3))))
+    target = {n: draw(st.integers(-1, 1)) for n in nts}
+    symbols = nts + ("t", "t^-1", "x1", "x1^-1", "x2")
+    rules = []
+    all_padded = True
+    for _ in range(draw(st.integers(1, 6))):
+        lhs = draw(st.sampled_from(nts))
+        rhs = draw(st.lists(st.sampled_from(symbols), max_size=4))
+        if draw(st.integers(0, 3)):  # pad three rules in four
+            gap = target[lhs] - t_sum(rhs) - sum(target.get(s, 0) for s in rhs)
+            rhs += ["t" if gap > 0 else "t^-1"] * abs(gap)
+        else:
+            all_padded = False
+        rules.append((lhs, tuple(rhs)))
+    try:
+        grammar = CFGrammar(nts, "N0", tuple(rules))
+    except GrammarError:
+        assume(False)
+    return grammar, all_padded, target["N0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(balance_grammar())
+def test_t_balanced_certifies_sampled_words(data):
+    grammar, all_padded, start_target = data
+    if all_padded:
+        assert grammar.t_balanced == (start_target == 0)
+    if not grammar.t_balanced:
+        return
+    group = GroupParams(IntMatrix(((2, 1), (0, 3))))
+    for seed in range(8):
+        try:
+            word = sample_grammar(
+                grammar, SamplePolicy(max_length=24, depth_cap=3, seed=seed))
+        except SampleBudgetError:
+            continue
+        assert t_sum(word) == 0
+        g = group.evaluate(word)
+        assert g.p == g.q
+
+
+def test_t_balanced_closures(bs2):
+    for krange in (RANGE_NATURALS, RANGE_INTEGERS):
+        orbit = orbit_x1(bs2, krange)
+        assert orbit.t_balanced
+        assert subgroup_closure(SubsetSpec(orbit, bs2)).grammar.t_balanced
+        assert cfg_invert(orbit).t_balanced
+        assert cfg_star(orbit).t_balanced
+        assert cfg_union(orbit, cfg_invert(orbit)).t_balanced
+        skew = orbit_grammar(bs2, ("t", "x1"), krange)
+        assert not skew.t_balanced
+        assert not subgroup_closure(SubsetSpec(skew, bs2)).grammar.t_balanced
+        assert not cfg_union(orbit, skew).t_balanced
+    # consistent nonzero balances below a balanced start are certified
+    nested = CFGrammar(("S", "A"), "S", (("S", ("A", "t^-1")),
+                                         ("A", ("t", "x1")), ("A", ("x1", "t"))))
+    assert nested.t_balanced
+    # a nonterminal named like a token is still a nonterminal
+    named_t = CFGrammar(("S", "t"), "S", (("S", ("t", "t^-1")), ("t", ("t^-1",))))
+    assert not named_t.t_balanced
 
 
 # ---------------------------------------------------------------------------

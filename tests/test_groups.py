@@ -20,7 +20,13 @@ from subsetkex import (
     word_inverse,
 )
 from subsetkex.groups import token_dimension
-from conftest import random_element, random_params, random_vec, random_word
+from conftest import (
+    FOLD_MATRICES,
+    random_element,
+    random_params,
+    random_vec,
+    random_word,
+)
 
 
 def naive_vec_power(group, v, k):
@@ -301,17 +307,6 @@ def test_group_axioms_property(data):
     assert g * group.identity() == g
     assert (g * g.inverse()).is_identity()
     assert (g * h).oracle() == g.oracle() * h.oracle()
-
-
-# m = 1..3; in each dimension one matrix each with det 1, -1, 2, -2 and 6
-FOLD_MATRICES = (
-    ((1,),), ((-1,),), ((2,),), ((-2,),), ((6,),),
-    ((1, 1), (0, 1)), ((0, 1), (1, 0)), ((2, 1), (0, 1)), ((1, 2), (1, 0)),
-    ((2, 1), (0, 3)),
-    ((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((0, 1, 0), (1, 0, 0), (0, 1, 1)),
-    ((2, 0, 0), (1, 1, 0), (0, 1, 1)), ((1, 0, 1), (0, -2, 0), (0, 0, 1)),
-    ((1, 1, 0), (0, 2, 1), (0, 0, 3)),
-)
 
 
 @st.composite

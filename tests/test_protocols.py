@@ -10,6 +10,7 @@ from subsetkex import (
     PartySecret1,
     PublicParams1,
     PublicParams2,
+    CommutationError,
     SamplePolicy,
     commutation_spot_check,
     orbit_dh,
@@ -22,6 +23,7 @@ from subsetkex import (
     p2_party_setup,
     subgroup_closure,
 )
+from subsetkex import protocols
 
 
 def oracle_base_sum(*elems):
@@ -49,6 +51,18 @@ def test_p1_setup_abelian_single_orbit(bs2):
 def test_p1_setup_cross_pairs_commute(upper2):
     pub = p1_setup(upper2, (1, 0), (0, 1), upper2.element(1, (1, -1), 1))
     commutation_spot_check(pub.spec_a, pub.spec_b, trials=32, seed=5)
+
+
+def test_p1_setup_samples_uncertified_specs(upper2, monkeypatch):
+    # orbits of t x_i are not t-balanced and their closures do not commute,
+    # so p1_setup must fall back to the sampled check and reject them
+    def skewed_closure(group, u, krange):
+        word = ("t",) + group.base(u).to_word()
+        return subgroup_closure(orbit_spec(group, word, krange))
+
+    monkeypatch.setattr(protocols, "_closure_of_orbit", skewed_closure)
+    with pytest.raises(CommutationError):
+        p1_setup(upper2, (1, 0), (0, 1), upper2.identity())
 
 
 def test_singular_matrix_rejected():

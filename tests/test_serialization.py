@@ -5,6 +5,7 @@ import time
 import pytest
 
 from subsetkex import (
+    GroupElement,
     GroupParams,
     IntMatrix,
     SamplePolicy,
@@ -89,6 +90,26 @@ def test_element_stable_exponent_bound(flat2):
     assert time.perf_counter() - t0 < 0.1
     edge = {"p": MAX_STABLE_EXPONENT, "v": ["0", "0"], "q": MAX_STABLE_EXPONENT}
     assert decode_element(flat2, edge).is_identity()
+
+
+def test_unimodular_element_decodes_in_one_step():
+    # |det M| = 1 puts every vector in Im M, so all min(p, q) stable pairs
+    # cancel; stepwise that is 2^16 preimages with growing entries
+    group = GroupParams(IntMatrix(((2, 1), (1, 1))))
+    edge = {"p": MAX_STABLE_EXPONENT, "v": ["1", "0"], "q": MAX_STABLE_EXPONENT}
+    t0 = time.perf_counter()
+    g = decode_element(group, edge)
+    assert time.perf_counter() - t0 < 0.2
+    assert g.p == g.q == 0
+    for rows in (((2, 1), (1, 1)), ((0, 1), (1, 0)), ((1, 1, 0), (0, -1, 1), (0, 0, 1))):
+        group = GroupParams(IntMatrix(rows))
+        v = tuple(range(3, 3 + group.m))
+        for k in range(6):
+            w = v
+            for _ in range(k):
+                w = group.preimage_under_phi(w)
+            assert group.element(k + 1, v, k) == GroupElement(group, 1, w, 0)
+            assert group.element(k, v, k + 2) == GroupElement(group, 0, w, 2)
 
 
 def test_vector_and_word(bs2):
