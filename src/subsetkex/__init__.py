@@ -29,7 +29,6 @@ from .grammars import (
     SubsetSpec,
     cfg_invert,
     cfg_membership,
-    cfg_sample,
     cfg_star,
     cfg_union,
     fsa_sample,
@@ -45,7 +44,6 @@ from .grammars import (
 from .protocols import (
     CommutationError,
     KeyAgreementError,
-    OrbitDHParams,
     Party2State,
     PartySecret1,
     PublicParams1,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from .grammars import (
@@ -549,10 +549,22 @@ class GridPoint:
     gens_window: int = 2
     window: Optional[int] = None
 
+    @cached_property
+    def group(self) -> GroupParams:
+        """Built once per point, so its adjugate and power memo persist."""
+        return GroupParams(IntMatrix(self.rows))
+
 
 def build_p1_instance(point: GridPoint, trial_seed: int) -> AttackInstance:
-    """A genuine seeded protocol round packaged as an attack target."""
-    group = GroupParams(IntMatrix(point.rows))
+    """A genuine seeded protocol round packaged as an attack target.
+
+    The public data that does not depend on the trial is shared across
+    trials: the point's group and the closure grammars of its orbit words.
+    Per trial run the ``w`` element, the protocol round's draws, and the
+    sampled commutation check of any uncertified pair (seeded from
+    ``trial_seed``).
+    """
+    group = point.group
     w = group.element(point.w[0], point.w[1], point.w[2])
     pub = p1_setup(group, point.u, point.v, w, point.krange,
                    check_trials=8, check_seed=derive_seed(trial_seed, "check"))

@@ -44,7 +44,6 @@ __all__ = [
     "GrammarError",
     "SampleBudgetError",
     "productive_check",
-    "cfg_sample",
     "sample_grammar",
     "cfg_membership",
     "cfg_invert",
@@ -287,10 +286,6 @@ def sample_grammar(grammar: CFGrammar, policy: SamplePolicy,
         f"no derivation within {policy.max_length} tokens "
         f"after {_SAMPLE_ATTEMPTS} attempts"
     )
-
-
-def cfg_sample(spec: SubsetSpec, policy: SamplePolicy) -> tuple:
-    return sample_grammar(spec.grammar, policy)
 
 
 def _derive_once(grammar, policy, rng) -> Optional[tuple]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .grammars import SamplePolicy, SubsetSpec, orbit_spec, subgroup_closure
-from .groups import GroupElement, GroupParams, Vec
+from .groups import GroupElement, GroupParams
 from .seeding import derive_seed
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "PartySecret1",
     "PublicParams2",
     "Party2State",
-    "OrbitDHParams",
     "SessionKey",
     "CommutationError",
     "KeyAgreementError",
@@ -87,12 +86,6 @@ class Party2State:
 
 
 @dataclass(frozen=True)
-class OrbitDHParams:
-    group: GroupParams
-    x: Vec
-
-
-@dataclass(frozen=True)
 class SessionKey:
     value: object  # GroupElement for p1/p2, base vector for orbit-dh
 
@@ -114,9 +107,28 @@ def commutation_spot_check(spec_x: SubsetSpec, spec_y: SubsetSpec,
             )
 
 
+CLOSURE_MEMO_BOUND = 256
+_closure_grammars: dict = {}  # (word, krange) -> closure grammar, oldest use first
+
+
 def _closure_of_orbit(group: GroupParams, u: Iterable[int], krange: str) -> SubsetSpec:
+    """The subgroup closure of the conjugate orbit of u, bound to ``group``.
+
+    The closure grammar depends on the generator word and the range, not on
+    the matrix, so one grammar per (word, krange) is shared across trials
+    and groups (the ``CLOSURE_MEMO_BOUND`` most recently used are kept) and
+    its cached tables stay warm.  The binding to ``group`` is made per call;
+    a failing build raises every time and is not kept.
+    """
     word = group.base(u).to_word()
-    return subgroup_closure(orbit_spec(group, word, krange))
+    key = (word, krange)
+    grammar = _closure_grammars.pop(key, None)
+    if grammar is None:
+        grammar = subgroup_closure(orbit_spec(group, word, krange)).grammar
+        if len(_closure_grammars) >= CLOSURE_MEMO_BOUND:
+            del _closure_grammars[next(iter(_closure_grammars))]
+    _closure_grammars[key] = grammar
+    return SubsetSpec(grammar, group)
 
 
 def p1_setup(group: GroupParams, u: Iterable[int], v: Iterable[int],

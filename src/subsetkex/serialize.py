@@ -15,7 +15,9 @@ Decoders validate shape strictly (exact key sets, value types) and raise
 SchemaError; anything structural beyond that (say, an empty-language
 grammar) surfaces as the owning module's error.  Element stable exponents
 above MAX_STABLE_EXPONENT are refused: Britton reduction may take one step
-per unit of min(p, q), so a few bytes of JSON could otherwise stall it.
+per unit of min(p, q), so a few bytes of JSON could otherwise stall it.  So
+is an element whose reduced entries have more decimal digits than Python
+converts (``sys.get_int_max_str_digits``): it could not be encoded again.
 """
 
 from __future__ import annotations
@@ -143,9 +145,15 @@ def decode_element(group: GroupParams, obj) -> GroupElement:
         raise SchemaError(f"element stable exponents exceed {MAX_STABLE_EXPONENT}")
     v = decode_vector(obj["v"], group.m)
     try:
-        return group.element(p, v, q)
+        g = group.element(p, v, q)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
+    try:
+        for e in g.v:
+            str(e)  # reduction can grow entries past the int -> str digit limit
+    except ValueError:
+        raise SchemaError("reduced element is too large to encode") from None
+    return g
 
 
 def encode_word(word) -> list:

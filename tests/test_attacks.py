@@ -34,6 +34,7 @@ from subsetkex import (
     subset_distance,
     verify_break,
 )
+from subsetkex import protocols
 from subsetkex.attacks import zero_clock
 from subsetkex.seeding import derive_seed
 from conftest import FOLD_MATRICES
@@ -201,6 +202,23 @@ def abelian_instance(seed, max_length=4, gens_window=0):
         max_length=max_length, gens_window=gens_window,
     )
     return build_p1_instance(point, seed)
+
+
+def test_build_p1_instance_cold_or_warm(monkeypatch):
+    monkeypatch.setattr(protocols, "_closure_grammars", {})
+
+    def point():
+        return GridPoint(grid_id="m2-upper", rows=((2, 1), (0, 3)), u=(1, 0),
+                         v=(0, 1), w=(1, (1, -1), 1), max_length=12)
+
+    shared = point()
+    cold = build_p1_instance(shared, 4)
+    warm = build_p1_instance(shared, 4)
+    assert warm == cold == build_p1_instance(point(), 4)
+    assert cold.target != cold.pub.w  # the secrets are not the identity
+    assert warm.pub.group is cold.pub.group is shared.group
+    assert warm.pub.spec_a.grammar is cold.pub.spec_a.grammar
+    assert build_p1_instance(shared, 0) != cold  # the draws are per trial
 
 
 def test_extract_orbit_generator(bs2, upper2):
@@ -443,9 +461,10 @@ def test_sweep_empty_table():
 
 
 def test_sweep_byte_identical():
-    a = run_experiments(small_grid(), 4, 123)
-    b = run_experiments(small_grid(), 4, 123)
-    assert a == b
+    grid = small_grid()
+    a = run_experiments(grid, 4, 123)
+    b = run_experiments(grid, 4, 123)  # the points' groups are warm now
+    assert a == b == run_experiments(small_grid(), 4, 123)
     assert a.startswith("grid_id,mode,")
 
 

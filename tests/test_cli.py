@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -160,9 +161,9 @@ def test_validation_exit_code(capsys, tmp_path):
 
 
 def test_inputs_not_mutated(capsys, tmp_path, params_file):
-    before = open(params_file, "rb").read()
+    before = Path(params_file).read_bytes()
     run(capsys, "kex", "p1", "simulate", "--seed", "1", "--params", params_file)
-    assert open(params_file, "rb").read() == before
+    assert Path(params_file).read_bytes() == before
 
 
 def test_transcript_reparse_roundtrip(capsys, params_file):

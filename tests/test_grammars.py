@@ -19,7 +19,6 @@ from subsetkex import (
     SubsetSpec,
     cfg_invert,
     cfg_membership,
-    cfg_sample,
     cfg_star,
     cfg_union,
     fsa_sample,
@@ -111,13 +110,13 @@ def test_spec_alphabet_bound(bs2):
 def test_single_rule_sampling(bs2):
     spec = SubsetSpec(CFGrammar(("S",), "S", (("S", ("x1",)),)), bs2)
     for seed in range(10):
-        assert cfg_sample(spec, SamplePolicy(seed=seed)) == ("x1",)
+        assert spec.sample(SamplePolicy(seed=seed)) == ("x1",)
 
 
 def test_orbit_sample_shape(bs2):
     spec = orbit_spec(bs2, ("x1",), RANGE_NATURALS)
     for seed in range(20):
-        w = cfg_sample(spec, SamplePolicy(max_length=21, depth_cap=4, seed=seed))
+        w = spec.sample(SamplePolicy(max_length=21, depth_cap=4, seed=seed))
         k = w.index("x1")
         assert w == ("t^-1",) * k + ("x1",) + ("t",) * k
 
@@ -125,7 +124,7 @@ def test_orbit_sample_shape(bs2):
 def test_sampling_deterministic(bs2):
     spec = subgroup_closure(orbit_spec(bs2, ("x1",), RANGE_INTEGERS))
     pol = SamplePolicy(max_length=24, depth_cap=4, seed=99)
-    assert cfg_sample(spec, pol) == cfg_sample(spec, pol)
+    assert spec.sample(pol) == spec.sample(pol)
 
 
 def test_sampling_soundness_via_cyk(bs2, upper2):

@@ -65,6 +65,41 @@ def test_p1_setup_samples_uncertified_specs(upper2, monkeypatch):
         p1_setup(upper2, (1, 0), (0, 1), upper2.identity())
 
 
+def test_closure_grammar_shared_per_orbit_word(upper2, monkeypatch):
+    memo: dict = {}
+    monkeypatch.setattr(protocols, "_closure_grammars", memo)
+    spec = protocols._closure_of_orbit(upper2, (1, 0), "integers")
+    assert spec.group is upper2
+    assert spec == subgroup_closure(orbit_spec(upper2, ("x1",), "integers"))
+    # the grammar depends on the word, not the matrix
+    flat = GroupParams(IntMatrix(((1, 0), (0, 1))))
+    again = protocols._closure_of_orbit(flat, (1, 0), "integers")
+    assert again.group is flat
+    assert again.grammar is spec.grammar
+    assert len(memo) == 1
+    for _ in range(2):  # a failing build is not kept
+        with pytest.raises(ValueError):
+            protocols._closure_of_orbit(upper2, (0, 0), "integers")
+    assert len(memo) == 1
+
+
+def test_closure_memo_stays_bounded(upper2, monkeypatch):
+    memo: dict = {}
+    monkeypatch.setattr(protocols, "_closure_grammars", memo)
+    bound = protocols.CLOSURE_MEMO_BOUND
+    vectors = [(i, j) for i in range(-9, 10) for j in range(-9, 10) if i or j]
+    assert len(vectors) > bound + 8
+    first = protocols._closure_of_orbit(upper2, vectors[0], "naturals").grammar
+    for u in vectors[1:]:
+        protocols._closure_of_orbit(upper2, vectors[0], "naturals")  # keep it hot
+        protocols._closure_of_orbit(upper2, u, "naturals")
+        assert len(memo) <= bound
+    assert len(memo) == bound
+    assert protocols._closure_of_orbit(
+        upper2, vectors[0], "naturals").grammar is first
+    assert (upper2.base(vectors[1]).to_word(), "naturals") not in memo
+
+
 def test_singular_matrix_rejected():
     with pytest.raises(ValueError):
         GroupParams(IntMatrix(((1, 1), (1, 1))))

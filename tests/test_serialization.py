@@ -96,9 +96,8 @@ def test_unimodular_element_decodes_in_one_step():
     # |det M| = 1 puts every vector in Im M, so all min(p, q) stable pairs
     # cancel; stepwise that is 2^16 preimages with growing entries
     group = GroupParams(IntMatrix(((2, 1), (1, 1))))
-    edge = {"p": MAX_STABLE_EXPONENT, "v": ["1", "0"], "q": MAX_STABLE_EXPONENT}
     t0 = time.perf_counter()
-    g = decode_element(group, edge)
+    g = group.element(MAX_STABLE_EXPONENT, (1, 0), MAX_STABLE_EXPONENT)
     assert time.perf_counter() - t0 < 0.2
     assert g.p == g.q == 0
     for rows in (((2, 1), (1, 1)), ((0, 1), (1, 0)), ((1, 1, 0), (0, -1, 1), (0, 0, 1))):
@@ -110,6 +109,20 @@ def test_unimodular_element_decodes_in_one_step():
                 w = group.preimage_under_phi(w)
             assert group.element(k + 1, v, k) == GroupElement(group, 1, w, 0)
             assert group.element(k, v, k + 2) == GroupElement(group, 0, w, 2)
+
+
+def test_unencodable_element_refused():
+    # reduction grows the entries past the digits str() of an int may have
+    group = GroupParams(IntMatrix(((2, 1), (1, 1))))
+    edge = {"p": MAX_STABLE_EXPONENT, "v": ["1", "0"], "q": MAX_STABLE_EXPONENT}
+    t0 = time.perf_counter()
+    with pytest.raises(SchemaError):
+        decode_element(group, edge)
+    assert time.perf_counter() - t0 < 0.2
+    g = decode_element(group, {"p": 8192, "v": ["1", "0"], "q": 8192})
+    assert max(e.bit_length() for e in g.v) == 11374
+    text = dumps(encode_element(g))
+    assert dumps(encode_element(decode_element(group, loads(text)))) == text
 
 
 def test_vector_and_word(bs2):
