@@ -224,6 +224,8 @@ def _scaled_point(group: GroupParams, v, window: int):
     z is None when not integral.  For t^p u t^-q, whose base part is
     u M^-p = u adj(M)^p / det^p, z stays in the integers.
     """
+    if window < 0:
+        raise ValueError("window must be nonnegative")
     if isinstance(v, GroupElement):
         z, d = v.v @ group._power(-v.p), v.p - v.q
         if window >= v.p:
@@ -253,8 +255,6 @@ def lattice_member(group: GroupParams, v, gen: Sequence[int],
     is a certified non-member.  Denominators beyond det^window cannot be
     scaled into the window and come back "unknown".  "member" is exact.
     """
-    if window < 0:
-        raise ValueError("window must be nonnegative")
     gen = tuple(int(e) for e in gen)
     d, z = _scaled_point(group, v, window)
     if d != 0:
@@ -271,7 +271,9 @@ def subset_distance(group: GroupParams, v, gen: Sequence[int],
     """Bit size of the Babai-rounded residual against the window basis.
 
     Nonzero stable exponents draw a stiff per-unit penalty; candidates that
-    cannot be scaled into the window score as maximally distant.
+    cannot be scaled into the window score as maximally distant.  The
+    distance is 0 exactly when ``lattice_member`` says "member" (see
+    ``rst_greedy``).
     """
     gen = tuple(int(e) for e in gen)
     d, z = _scaled_point(group, v, window)
@@ -342,7 +344,7 @@ def verify_break(pub: PublicParams1, target1: GroupElement,
     """
     if a * pub.w * b != target1:
         return False
-    if c * pub.w * d != target2:
+    if (c, d, target2) != (a, b, target1) and c * pub.w * d != target2:
         return False
     halves = [(x, spec, label) for x, spec, label in
               ((a, pub.spec_b, "verify.b"), (b, pub.spec_a, "verify.a"))
@@ -362,26 +364,29 @@ def _membership_window(b: GroupElement, window: Optional[int]) -> int:
     return window if window is not None else b.p + b.q + 8
 
 
-def _right_factor_tools(instance: AttackInstance, window: Optional[int]):
-    group = instance.pub.group
-    gen_b = extract_orbit_generator(instance.pub.spec_b)
+def _certifier(instance: AttackInstance, window: Optional[int],
+               verify_trials: int):
+    """(gen_b, certified): the right orbit's generator and the break test.
 
-    def is_member(b: GroupElement) -> bool:
-        verdict = lattice_member(group, b, gen_b,
-                                 _membership_window(b, window))
-        return verdict.is_member
+    ``certified(a, b)`` holds when b is a window-lattice member and the
+    pair (a, b), used as both cracks, passes ``verify_break``.
+    """
+    pub = instance.pub
+    gen_b = extract_orbit_generator(pub.spec_b)
 
-    def distance(b: GroupElement) -> int:
-        return subset_distance(group, b, gen_b,
-                               _membership_window(b, window))
+    def certified(a_cand: GroupElement, b_cand: GroupElement) -> bool:
+        verdict = lattice_member(pub.group, b_cand, gen_b,
+                                 _membership_window(b_cand, window))
+        return verdict.is_member and verify_break(
+            pub, instance.target, instance.target,
+            a_cand, b_cand, a_cand, b_cand, trials=verify_trials,
+        )
 
-    return is_member, distance
+    return gen_b, certified
 
 
-def rst_greedy(instance: AttackInstance,
-               dist: Optional[Callable[[GroupElement], int]] = None,
-               max_iter: int = 200, window: Optional[int] = None,
-               verify_trials: int = 32,
+def rst_greedy(instance: AttackInstance, max_iter: int = 200,
+               window: Optional[int] = None, verify_trials: int = 32,
                clock: Callable[[], float] = time.perf_counter) -> AttackResult:
     """Greedy one-generator-at-a-time attack on a generator-mode instance.
 
@@ -390,56 +395,62 @@ def rst_greedy(instance: AttackInstance,
     the right subset; the scan stops as soon as a right factor is a
     certified member and the pair verifies.  Ties break toward the lowest
     generator index so runs reproduce.
+
+    The right factor of the candidate a = current s factors as
+    (w^-1 s^-1)(current^-1 target): the head w^-1 s^-1 is fixed for the
+    whole attack and the rest changes once per iteration, so a candidate
+    costs one product.  It also costs one lattice pass: the Hermite pivots
+    are positive, so nearest rounding recovers every coefficient of a
+    lattice point exactly, and the Babai residual is zero, i.e. the
+    distance is 0, exactly when the point is a member (a nonzero t-exponent
+    or an unscalable point scores at least 2^20).  Only a distance-0
+    candidate is certified.
     """
     if instance.gens_a is None:
         raise ValueError("rst_greedy needs generator mode (gens_a supplied)")
     pub = instance.pub
-    is_member, default_dist = _right_factor_tools(instance, window)
-    score = dist if dist is not None else default_dist
+    group = pub.group
+    gen_b, certified = _certifier(instance, window, verify_trials)
+
+    def distance(b_cand: GroupElement) -> int:
+        return subset_distance(group, b_cand, gen_b,
+                               _membership_window(b_cand, window))
+
     steps = []
     for gen in instance.gens_a:
         steps.append(gen)
         steps.append(gen.inverse())
     w_inv = pub.w.inverse()
     t0 = clock()
-    current = pub.group.identity()
+    current = group.identity()
+    rest = instance.target  # current^-1 target
 
-    def induced(a_cand: GroupElement) -> GroupElement:
-        return w_inv * a_cand.inverse() * instance.target
-
-    def certified(a_cand: GroupElement, b_cand: GroupElement) -> bool:
-        return is_member(b_cand) and verify_break(
-            pub, instance.target, instance.target,
-            a_cand, b_cand, a_cand, b_cand, trials=verify_trials,
-        )
-
-    b0 = induced(current)
-    if certified(current, b0):
+    b0 = w_inv * rest
+    best = distance(b0)
+    if best == 0 and certified(current, b0):
         return AttackResult(True, (current, b0), 0, 0, clock() - t0)
-    best = score(b0)
+    heads = [w_inv * step.inverse() for step in steps]
     for it in range(1, max_iter + 1):
         scored = []
-        hit = None
-        for idx, step in enumerate(steps):
-            a_cand = current * step
-            b_cand = induced(a_cand)
-            if certified(a_cand, b_cand):
-                hit = (a_cand, b_cand)
-                break
-            scored.append((score(b_cand), idx, a_cand))
-        if hit is not None:
-            return AttackResult(True, hit, it, 0, clock() - t0)
-        d0, _, a0 = min(scored, key=lambda s: (s[0], s[1]))
+        for idx, head in enumerate(heads):
+            b_cand = head * rest
+            d = distance(b_cand)
+            if d == 0:
+                a_cand = current * steps[idx]
+                if certified(a_cand, b_cand):
+                    return AttackResult(True, (a_cand, b_cand), it, 0,
+                                        clock() - t0)
+            scored.append((d, idx))
+        d0, idx0 = min(scored)
         best = min(best, d0)
-        current = a0
+        current = current * steps[idx0]
+        rest = steps[idx0].inverse() * rest
     return AttackResult(False, None, max_iter, best, clock() - t0)
 
 
-def derivation_descent(instance: AttackInstance,
-                       ell: Callable[[GroupElement], int] = default_length,
-                       beam: int = 8, max_nodes: int = 2048,
-                       max_len: int = 48, window: Optional[int] = None,
-                       verify_trials: int = 32,
+def derivation_descent(instance: AttackInstance, beam: int = 8,
+                       max_nodes: int = 2048, max_len: int = 48,
+                       window: Optional[int] = None, verify_trials: int = 32,
                        clock: Callable[[], float] = time.perf_counter
                        ) -> AttackResult:
     """Beam search over partial leftmost derivations of the left grammar.
@@ -447,15 +458,15 @@ def derivation_descent(instance: AttackInstance,
     Each partial derivation is completed optimistically (remaining
     nonterminals replaced by their shortest terminal yields, which keeps
     the completion inside the language), inducing a left-factor candidate
-    whose right factor is scored by ``ell``.  Success is certified the same
-    way as in the greedy attack.
+    whose right factor is scored by ``default_length``.  Success is
+    certified the same way as in the greedy attack.
     """
     if beam < 1:
         raise ValueError("beam must be at least 1")
     pub = instance.pub
     grammar = pub.spec_a.grammar
     group = pub.group
-    is_member, _ = _right_factor_tools(instance, window)
+    _, certified = _certifier(instance, window, verify_trials)
     w_inv = pub.w.inverse()
     t0 = clock()
 
@@ -476,13 +487,7 @@ def derivation_descent(instance: AttackInstance,
         word = completion(form)
         a_cand = group.evaluate(word)
         b_cand = w_inv * a_cand.inverse() * instance.target
-        return ell(b_cand), a_cand, b_cand
-
-    def certified(a_cand, b_cand) -> bool:
-        return is_member(b_cand) and verify_break(
-            pub, instance.target, instance.target,
-            a_cand, b_cand, a_cand, b_cand, trials=verify_trials,
-        )
+        return default_length(b_cand), a_cand, b_cand
 
     root = (grammar.start,)
     s, a_cand, b_cand = assess(root)

@@ -198,7 +198,8 @@ def cmd_instance_p2(args) -> int:
     return 0
 
 
-def _decode_instance_p1(obj):
+def _read_instance_p1(obj):
+    """Checked header of a p1 instance: (params tuple, seed, gens_window)."""
     serialize._require_keys(
         obj,
         ("protocol", "params", "seed", "gens_window", "target", "secrets"),
@@ -206,9 +207,15 @@ def _decode_instance_p1(obj):
     )
     if obj["protocol"] != "p1":
         raise SchemaError("instance protocol must be 'p1'")
-    group, u, v, w, krange, policy = _decode_p1_params(obj["params"])
+    params = _decode_p1_params(obj["params"])
     seed = serialize._as_int(obj["seed"], "instance seed")
     gens_window = serialize._as_int(obj["gens_window"], "gens_window")
+    return params, seed, gens_window
+
+
+def _decode_instance_p1(obj):
+    params, seed, gens_window = _read_instance_p1(obj)
+    group, u, v, w, krange, policy = params
     pub = p1_setup(group, u, v, w, krange, check_trials=8,
                    check_seed=derive_seed(seed, "check"))
     target = serialize.decode_element(group, obj["target"])
@@ -225,14 +232,9 @@ def cmd_kex_p1(args) -> int:
     if not args.instance and not args.params:
         raise SchemaError("either --params or --instance is required")
     if args.instance:
-        obj = _read_json(args.instance)
-        serialize._require_keys(
-            obj,
-            ("protocol", "params", "seed", "gens_window", "target", "secrets"),
-            "p1 instance",
-        )
-        group, u, v, w, krange, policy = _decode_p1_params(obj["params"])
-        master = obj["seed"] if args.seed is None else args.seed
+        params, seed, _ = _read_instance_p1(_read_json(args.instance))
+        group, u, v, w, krange, policy = params
+        master = seed if args.seed is None else args.seed
     else:
         group = _load_group(args)
         master = args.seed if args.seed is not None else 0

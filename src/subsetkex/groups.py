@@ -183,6 +183,11 @@ class IntMatrix:
         return _det_bareiss(self.rows)
 
     @cached_property
+    def cols(self) -> tuple:
+        """The columns, transposed once so vector products need not."""
+        return tuple(zip(*self.rows))
+
+    @cached_property
     def adjugate(self) -> "IntMatrix":
         """adj(M) with M * adj(M) = det(M) * I; used for exact division by M."""
         n = self.dim
@@ -217,7 +222,7 @@ class IntMatrix:
         """Row vector times matrix: ``v @ M``."""
         if len(v) != self.dim:
             raise ValueError("vector dimension mismatch")
-        return _vec_mat(v, self.rows)
+        return _vec_mat(v, self)
 
 
 def matrix_power(mat: IntMatrix, k: int) -> IntMatrix:
@@ -235,8 +240,8 @@ def matrix_power(mat: IntMatrix, k: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def _vec_mat(v: Vec, rows: tuple) -> Vec:
-    return tuple(sum(map(mul, v, col)) for col in zip(*rows))
+def _vec_mat(v: Vec, mat: IntMatrix) -> Vec:
+    return tuple(sum(map(mul, v, col)) for col in mat.cols)
 
 
 def _vec_add(a: Vec, b: Vec) -> Vec:
@@ -321,7 +326,7 @@ class GroupParams:
             raise ValueError("vector dimension mismatch")
         det = self.det
         out = []
-        for e in _vec_mat(v, self.adjugate.rows):
+        for e in _vec_mat(v, self.adjugate):
             q, r = divmod(e, det)
             if r:
                 return None
@@ -350,7 +355,7 @@ class GroupParams:
             raise ValueError("vector dimension mismatch")
         if k == 0:
             return v
-        return _vec_mat(v, self._power(k).rows)
+        return _vec_mat(v, self._power(k))
 
     def rational_phi_power(self, v: Sequence[Fraction], k: int) -> tuple:
         """v M**k over the rationals, for any integer k."""
@@ -422,7 +427,7 @@ class GroupParams:
                     q -= 1
                 else:
                     p += 1
-                    v = list(_vec_mat(v, self.matrix.rows))
+                    v = list(_vec_mat(v, self.matrix))
             elif tok == TOKEN_STABLE_INV:
                 w = self.preimage_under_phi(v) if p and not q else None
                 if w is None:
@@ -490,19 +495,28 @@ class GroupElement:
         if q1 >= p2:
             k = q1 - p2
             if k:
-                v2 = _vec_mat(v2, g._power(k).rows)
+                v2 = _vec_mat(v2, g._power(k))
             return g._reduce(p1, _vec_add(v1, v2), k + q2)
         k = p2 - q1
-        return g._reduce(p1 + k, _vec_add(_vec_mat(v1, g._power(k).rows), v2), q2)
+        return g._reduce(p1 + k, _vec_add(_vec_mat(v1, g._power(k)), v2), q2)
 
     def inverse(self) -> "GroupElement":
         # (t^p v t^-q)^-1 = t^q (-v) t^-p, reduced by symmetry of the invariant
         return _reduced(self.group, self.q, _vec_neg(self.v), self.p)
 
     def conj_t(self, k: int) -> "GroupElement":
-        """t^-k * self * t^k as a reduced element (k may be negative)."""
+        """t^-k * self * t^k as a reduced element (k may be negative).
+
+        The conjugate is t^(p-k) v t^-(q-k).  A negative exponent is lifted
+        with t^-l v = (v M^l) t^-l: both exponents grow by
+        l = -min(p - k, q - k, 0) and v becomes v M^l, and one reduction
+        gives the normal form.
+        """
         g = self.group
-        return g.stable_power(-k) * self * g.stable_power(k)
+        p, q = self.p - k, self.q - k
+        lift = -min(p, q, 0)
+        v = _vec_mat(self.v, g._power(lift)) if lift else self.v
+        return g._reduce(p + lift, v, q + lift)
 
     def is_identity(self) -> bool:
         return self.p == 0 and self.q == 0 and not any(self.v)
@@ -578,7 +592,7 @@ class OracleElement:
 def default_length(g: GroupElement) -> int:
     """Stable exponents plus total bit length of the base entries.
 
-    Zero only on the identity, and invariant under inversion; the attack
-    harness accepts any alternative callable in its place.
+    Zero only on the identity, and invariant under inversion;
+    ``derivation_descent`` ranks its candidates by it.
     """
     return g.p + g.q + sum(abs(e).bit_length() for e in g.v)

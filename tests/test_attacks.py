@@ -34,10 +34,10 @@ from subsetkex import (
     subset_distance,
     verify_break,
 )
-from subsetkex import protocols
+from subsetkex import cli, protocols
 from subsetkex.attacks import zero_clock
 from subsetkex.seeding import derive_seed
-from conftest import FOLD_MATRICES
+from conftest import FOLD_MATRICES, random_matrix
 
 
 def brute_force_window_member(group, target, gen, window, coeff_bound=4):
@@ -138,6 +138,14 @@ def brute_is_conclusive(gen):
     return False
 
 
+def test_negative_window_raises(bs2):
+    for v in ((1,), bs2.base((1,)), OracleElement(bs2, (Fraction(1),), 0)):
+        with pytest.raises(ValueError, match="window must be nonnegative"):
+            lattice_member(bs2, v, (1,), -1)
+        with pytest.raises(ValueError, match="window must be nonnegative"):
+            subset_distance(bs2, v, (1,), -1)
+
+
 def test_distance_zero_on_members(bs2):
     v = bs2.phi_power((1,), 2)
     assert subset_distance(bs2, v, (1,), 2) == 0
@@ -179,8 +187,10 @@ def test_integer_membership_matches_oracle():
         group, elem, gen, window = case
         verdict = lattice_member(group, elem, gen, window)
         assert verdict == lattice_member(group, elem.oracle(), gen, window)
-        assert (subset_distance(group, elem, gen, window)
-                == subset_distance(group, elem.oracle(), gen, window))
+        dist = subset_distance(group, elem, gen, window)
+        assert dist == subset_distance(group, elem.oracle(), gen, window)
+        # rst_greedy certifies only distance-0 candidates
+        assert verdict.is_member == (dist == 0)
         if elem.p == elem.q == 0:
             assert verdict == lattice_member(group, elem.v, gen, window)
         seen.add((verdict.value, (window > elem.p) - (window < elem.p)))
@@ -304,6 +314,84 @@ def test_rst_one_generator_factor_per_iteration(flat2):
         assert result.recovered[0] == flat2.base((s, 0))
 
 
+def reference_rst_greedy(instance, max_iter, window=None):
+    """The three-product walk: a = current s, then b = w^-1 a^-1 target.
+
+    Every candidate is tested for membership before it is scored, as
+    rst_greedy did before it factored b and scored first.
+    """
+    pub = instance.pub
+    group = pub.group
+    gen_b = extract_orbit_generator(pub.spec_b)
+
+    def win(b):
+        return window if window is not None else b.p + b.q + 8
+
+    def certified(a, b):
+        return (lattice_member(group, b, gen_b, win(b)).is_member
+                and verify_break(pub, instance.target, instance.target,
+                                 a, b, a, b))
+
+    def induced(a):
+        return pub.w.inverse() * a.inverse() * instance.target
+
+    steps = [s for gen in instance.gens_a for s in (gen, gen.inverse())]
+    current = group.identity()
+    b0 = induced(current)
+    if certified(current, b0):
+        return True, 0, 0, (current, b0)
+    best = subset_distance(group, b0, gen_b, win(b0))
+    for it in range(1, max_iter + 1):
+        scored = []
+        for idx, step in enumerate(steps):
+            a = current * step
+            b = induced(a)
+            if certified(a, b):
+                return True, it, 0, (a, b)
+            scored.append((subset_distance(group, b, gen_b, win(b)), idx, a))
+        d0, _, current = min(scored, key=lambda s: (s[0], s[1]))
+        best = min(best, d0)
+    return False, max_iter, best, None
+
+
+def sweep_random_point(rng, i):
+    """A random grid point drawn as the benchmark's attack sweep draws it."""
+    dim = rng.randint(2, 3)
+
+    def vec():
+        while True:
+            v = tuple(rng.randint(-2, 2) for _ in range(dim))
+            if any(v):
+                return v
+
+    rows = random_matrix(rng, dim).rows
+    u, v = vec(), vec()
+    w = (rng.randint(0, 2), tuple(rng.randint(-3, 3) for _ in range(dim)),
+         rng.randint(0, 2))
+    return GridPoint(grid_id=f"random-{i}", rows=rows, u=u, v=v, w=w)
+
+
+def test_rst_matches_three_product_reference():
+    # among these walks, two take a different path if ties break toward
+    # the highest generator index instead of the lowest
+    rng = random.Random(5)
+    cases = [(point, derive_seed(17, point.grid_id, trial))
+             for point in cli._DEFAULT_GRID for trial in range(12)]
+    cases += [(sweep_random_point(rng, i), derive_seed(18, i))
+              for i in range(64)]
+    outcomes = []
+    for point, seed in cases:
+        inst = build_p1_instance(point, seed)
+        result = rst_greedy(inst, max_iter=point.max_iter, window=point.window)
+        expect = reference_rst_greedy(inst, point.max_iter, point.window)
+        got = (result.success, result.iterations, result.best_score,
+               result.recovered)
+        assert got == expect, point
+        outcomes.append((result.success, result.iterations == point.max_iter))
+    assert (True, False) in outcomes
+    assert (False, True) in outcomes  # runs that use the whole budget
+
+
 def test_rst_requires_generator_mode(flat2):
     w = flat2.element(1, (1, 1), 0)
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
@@ -393,6 +481,20 @@ def test_verify_break_genuine(upper2, monkeypatch):
     # hull factors against t-balanced subsets are certified without samples
     monkeypatch.setattr(SubsetSpec, "sample_element", no_sampling)
     assert verify_break(pub, msg_a, msg_b, alice.a, alice.b, bob.b, bob.a)
+
+
+def test_verify_break_rejects_wrong_second_crack(upper2):
+    w = upper2.element(1, (1, -1), 1)
+    pub = p1_setup(upper2, (1, 0), (0, 1), w)
+    alice, msg_a, bob, msg_b = p1_round(
+        pub, SamplePolicy(max_length=12, depth_cap=3, seed=31),
+        SamplePolicy(max_length=12, depth_cap=3, seed=32))
+    assert verify_break(pub, msg_a, msg_b, alice.a, alice.b, bob.b, bob.a)
+    # the first crack is right; only the second equation can reject
+    wrong = bob.a * upper2.generator(1)
+    assert not verify_break(pub, msg_a, msg_b, alice.a, alice.b, bob.b, wrong)
+    assert msg_a != msg_b
+    assert not verify_break(pub, msg_a, msg_a, alice.a, alice.b, bob.b, bob.a)
 
 
 def test_verify_break_rejects_junk(upper2):

@@ -206,3 +206,39 @@ def test_instance_terminal_bias_reaches_samplers(capsys, tmp_path, params_file,
         assert code == 0
     assert len(seen) == 5  # p1: alice, bob; p2: alice, bob, exchange
     assert all(policy.terminal_bias == Fraction(1, 2) for policy in seen)
+
+
+@pytest.fixture
+def p1_instance(tmp_path, capsys, params_file):
+    path = tmp_path / "inst.json"
+    code = main(["instance", "p1", "gen", "--params", params_file,
+                 "--seed", "5", "--max-len", "8", "--out", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    return path
+
+
+def test_attack_negative_window_exit_code(capsys, p1_instance):
+    for attack in ("rst", "descent"):
+        code, out, err = run(capsys, "attack", attack, "--instance",
+                             str(p1_instance), "--window", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: window must be nonnegative\n"
+
+
+def test_kex_p1_instance_header_checked(capsys, tmp_path, p1_instance):
+    code, out, _ = run(capsys, "kex", "p1", "simulate",
+                       "--instance", str(p1_instance))
+    assert code == 0 and json.loads(out)["seeds"]["master"] == 5
+    for key, value, message in (
+            ("protocol", "p2", "instance protocol must be 'p1'"),
+            ("seed", "5", "instance seed must be an integer"),
+            ("seed", True, "instance seed must be an integer")):
+        obj = json.loads(p1_instance.read_text())
+        obj[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        for argv in (("kex", "p1", "simulate"), ("attack", "rst")):
+            code, out, err = run(capsys, *argv, "--instance", str(bad))
+            assert (code, out) == (2, "")
+            assert err == f"error: {message}\n"

@@ -151,6 +151,25 @@ def test_conj_by_stable(bs2):
     assert g.oracle() == OracleElement(bs2, (Fraction(1, 2),), 0)
 
 
+def test_conj_t_matches_stable_products():
+    # conj_t reduces the lifted triple once; the reference is the product
+    rng = random.Random(2024)
+    for rows in FOLD_MATRICES:
+        group = GroupParams(IntMatrix(rows))
+        elems = [group.identity()]
+        for p in range(5):
+            for q in range(5):
+                v = random_vec(rng, group.m)
+                elems.append(group.element(p, v, q))
+                # a vector in Im M exercises the cancelling reduction
+                elems.append(group.element(p, group.phi_power(v, 1), q))
+        for x in elems:
+            for k in range(-5, 6):
+                expect = group.stable_power(-k) * x * group.stable_power(k)
+                got = x.conj_t(k)
+                assert (got.p, got.v, got.q) == (expect.p, expect.v, expect.q)
+
+
 def test_evaluate_word(bs2):
     assert bs2.evaluate(("t^-1", "x1", "t")) == bs2.base((2,))
     assert bs2.evaluate(()).is_identity()
