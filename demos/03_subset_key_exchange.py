@@ -33,7 +33,7 @@ print("p1: Bob   sends b2 w a2 =", msg_b)
 
 key_a, key_b = p1_keys(pub, alice, msg_b, bob, msg_a)
 print("p1: keys agree:", key_a == key_b)
-print("p1: shared key =", key_a.value)
+print("p1: shared key =", key_a)
 
 # --- protocol 2 ---------------------------------------------------------------
 
@@ -46,4 +46,4 @@ states, msgs, keys = p2_exchange_full(
     pub2, state_a, state_b, SamplePolicy(max_length=14, depth_cap=3, seed=9))
 print("p2: messages on the wire:", msgs[0], "and", msgs[1])
 print("p2: keys agree:", keys[0] == keys[1])
-print("p2: shared key =", keys[0].value)
+print("p2: shared key =", keys[0])

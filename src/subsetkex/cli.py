@@ -25,7 +25,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import attacks, serialize
+from . import serialize
 from .grammars import (
     RANGE_INTEGERS,
     RANGE_NATURALS,
@@ -41,19 +41,11 @@ from .grammars import (
     sample_grammar,
 )
 from .groups import GroupParams, IntMatrix
-from .protocols import (
-    CommutationError,
-    KeyAgreementError,
-    orbit_dh,
-    p1_keys,
-    p1_round,
-    p1_setup,
-    p2_exchange_full,
-    p2_party_setup,
-    PublicParams2,
-)
 from .seeding import derive_seed
 from .serialize import SchemaError
+
+# ``protocols`` and ``attacks`` are imported by the commands that run them,
+# so the other commands start without loading either.
 
 __all__ = ["main"]
 
@@ -116,6 +108,24 @@ def _random_element(rng: random.Random, group: GroupParams):
     return group.element(rng.randint(0, 2), v, rng.randint(0, 2))
 
 
+def _draw_public(args, group: GroupParams, master: int, protocol: str):
+    """Seeded public data of a p1 or p2 instance: (vec, vec, w, policy).
+
+    The vectors are p1's u and v, or p2's u_alice and u_bob.
+    """
+    rng = random.Random(derive_seed(master, f"instance.{protocol}"))
+    first = _random_nonzero_vec(rng, group.m)
+    second = _random_nonzero_vec(rng, group.m)
+    w = _random_element(rng, group)
+    return first, second, w, _policy_from(args, master)
+
+
+def _decode_range(krange) -> str:
+    if krange not in (RANGE_NATURALS, RANGE_INTEGERS):
+        raise SchemaError(f"unknown orbit range {krange!r}")
+    return krange
+
+
 def cmd_params_gen(args) -> int:
     rng = random.Random(derive_seed(args.seed, "params.gen"))
     matrix = _random_matrix(rng, args.dim, args.max_entry)
@@ -141,30 +151,51 @@ def _decode_p1_params(obj):
     u = serialize.decode_vector(obj["u"], group.m)
     v = serialize.decode_vector(obj["v"], group.m)
     w = serialize.decode_element(group, obj["w"])
-    krange = obj["range"]
-    if krange not in (RANGE_NATURALS, RANGE_INTEGERS):
-        raise SchemaError(f"unknown orbit range {krange!r}")
+    krange = _decode_range(obj["range"])
     policy = serialize.decode_policy(obj["policy"])
     return group, u, v, w, krange, policy
 
 
+def _p2_public_block(group, w, u_alice, u_bob, krange, policy) -> dict:
+    return {
+        "group": serialize.encode_matrix(group),
+        "w": serialize.encode_element(w),
+        "u_alice": serialize.encode_vector(u_alice),
+        "u_bob": serialize.encode_vector(u_bob),
+        "range": krange,
+        "policy": serialize.encode_policy(policy),
+    }
+
+
+def _decode_p2_params(obj):
+    serialize._require_keys(
+        obj, ("group", "w", "u_alice", "u_bob", "range", "policy"),
+        "p2 params")
+    group = serialize.decode_group(obj["group"])
+    w = serialize.decode_element(group, obj["w"])
+    u_alice = serialize.decode_vector(obj["u_alice"], group.m)
+    u_bob = serialize.decode_vector(obj["u_bob"], group.m)
+    krange = _decode_range(obj["range"])
+    policy = serialize.decode_policy(obj["policy"])
+    return group, w, u_alice, u_bob, krange, policy
+
+
 def cmd_instance_p1(args) -> int:
+    from . import protocols
+
+    gens_window = serialize.decode_window(args.gens_window, "gens_window")
     group = _load_group(args)
-    rng = random.Random(derive_seed(args.seed, "instance.p1"))
-    u = _random_nonzero_vec(rng, group.m)
-    v = _random_nonzero_vec(rng, group.m)
-    w = _random_element(rng, group)
-    policy = _policy_from(args, args.seed)
-    pub = p1_setup(group, u, v, w, args.range,
-                   check_seed=derive_seed(args.seed, "check"))
+    u, v, w, policy = _draw_public(args, group, args.seed, "p1")
+    pub = protocols.p1_setup(group, u, v, w, args.range,
+                             check_seed=derive_seed(args.seed, "check"))
     policy_a = replace(policy, seed=derive_seed(args.seed, "alice"))
     policy_b = replace(policy, seed=derive_seed(args.seed, "bob"))
-    alice, msg_a, bob, _ = p1_round(pub, policy_a, policy_b)
+    alice, msg_a, bob, _ = protocols.p1_round(pub, policy_a, policy_b)
     _emit(args, {
         "protocol": "p1",
         "params": _p1_public_block(group, u, v, w, args.range, policy),
         "seed": args.seed,
-        "gens_window": args.gens_window,
+        "gens_window": gens_window,
         "target": serialize.encode_element(msg_a),
         "secrets": {
             "a1": serialize.encode_element(alice.a),
@@ -178,21 +209,11 @@ def cmd_instance_p1(args) -> int:
 
 def cmd_instance_p2(args) -> int:
     group = _load_group(args)
-    rng = random.Random(derive_seed(args.seed, "instance.p2"))
-    u_alice = _random_nonzero_vec(rng, group.m)
-    u_bob = _random_nonzero_vec(rng, group.m)
-    w = _random_element(rng, group)
-    policy = _policy_from(args, args.seed)
+    u_alice, u_bob, w, policy = _draw_public(args, group, args.seed, "p2")
     _emit(args, {
         "protocol": "p2",
-        "params": {
-            "group": serialize.encode_matrix(group),
-            "w": serialize.encode_element(w),
-            "u_alice": serialize.encode_vector(u_alice),
-            "u_bob": serialize.encode_vector(u_bob),
-            "range": args.range,
-            "policy": serialize.encode_policy(policy),
-        },
+        "params": _p2_public_block(group, w, u_alice, u_bob, args.range,
+                                   policy),
         "seed": args.seed,
     })
     return 0
@@ -209,15 +230,17 @@ def _read_instance_p1(obj):
         raise SchemaError("instance protocol must be 'p1'")
     params = _decode_p1_params(obj["params"])
     seed = serialize._as_int(obj["seed"], "instance seed")
-    gens_window = serialize._as_int(obj["gens_window"], "gens_window")
+    gens_window = serialize.decode_window(obj["gens_window"], "gens_window")
     return params, seed, gens_window
 
 
 def _decode_instance_p1(obj):
+    from . import attacks, protocols
+
     params, seed, gens_window = _read_instance_p1(obj)
     group, u, v, w, krange, policy = params
-    pub = p1_setup(group, u, v, w, krange, check_trials=8,
-                   check_seed=derive_seed(seed, "check"))
+    pub = protocols.p1_setup(group, u, v, w, krange, check_trials=8,
+                             check_seed=derive_seed(seed, "check"))
     target = serialize.decode_element(group, obj["target"])
     base = group.base(attacks.extract_orbit_generator(pub.spec_a))
     gens = tuple(base.conj_t(k) for k in range(-gens_window, gens_window + 1))
@@ -229,6 +252,8 @@ def _decode_instance_p1(obj):
 
 
 def cmd_kex_p1(args) -> int:
+    from . import protocols
+
     if not args.instance and not args.params:
         raise SchemaError("either --params or --instance is required")
     if args.instance:
@@ -238,32 +263,30 @@ def cmd_kex_p1(args) -> int:
     else:
         group = _load_group(args)
         master = args.seed if args.seed is not None else 0
-        rng = random.Random(derive_seed(master, "instance.p1"))
-        u = _random_nonzero_vec(rng, group.m)
-        v = _random_nonzero_vec(rng, group.m)
-        w = _random_element(rng, group)
+        u, v, w, policy = _draw_public(args, group, master, "p1")
         krange = args.range
-        policy = _policy_from(args, master)
-    pub = p1_setup(group, u, v, w, krange,
-                   check_seed=derive_seed(master, "check"))
+    pub = protocols.p1_setup(group, u, v, w, krange,
+                             check_seed=derive_seed(master, "check"))
     seed_a = derive_seed(master, "alice")
     seed_b = derive_seed(master, "bob")
-    alice, msg_a, bob, msg_b = p1_round(
+    alice, msg_a, bob, msg_b = protocols.p1_round(
         pub, replace(policy, seed=seed_a), replace(policy, seed=seed_b))
-    key_a, key_b = p1_keys(pub, alice, msg_b, bob, msg_a)
+    key_a, key_b = protocols.p1_keys(pub, alice, msg_b, bob, msg_a)
     _emit(args, {
         "protocol": "p1",
         "params": _p1_public_block(group, u, v, w, krange, policy),
         "messages": [serialize.encode_element(msg_a),
                      serialize.encode_element(msg_b)],
-        "keys": {"alice": serialize.encode_element(key_a.value),
-                 "bob": serialize.encode_element(key_b.value)},
+        "keys": {"alice": serialize.encode_element(key_a),
+                 "bob": serialize.encode_element(key_b)},
         "seeds": {"master": master, "alice": seed_a, "bob": seed_b},
     })
     return 0
 
 
 def cmd_kex_p2(args) -> int:
+    from . import protocols
+
     if not args.instance and not args.params:
         raise SchemaError("either --params or --instance is required")
     if args.instance:
@@ -271,48 +294,32 @@ def cmd_kex_p2(args) -> int:
         serialize._require_keys(obj, ("protocol", "params", "seed"), "p2 instance")
         if obj["protocol"] != "p2":
             raise SchemaError("instance protocol must be 'p2'")
-        params = obj["params"]
-        serialize._require_keys(
-            params, ("group", "w", "u_alice", "u_bob", "range", "policy"),
-            "p2 params")
-        group = serialize.decode_group(params["group"])
-        w = serialize.decode_element(group, params["w"])
-        u_alice = serialize.decode_vector(params["u_alice"], group.m)
-        u_bob = serialize.decode_vector(params["u_bob"], group.m)
-        krange = params["range"]
-        policy = serialize.decode_policy(params["policy"])
-        master = obj["seed"] if args.seed is None else args.seed
+        group, w, u_alice, u_bob, krange, policy = _decode_p2_params(
+            obj["params"])
+        seed = serialize._as_int(obj["seed"], "instance seed")
+        master = seed if args.seed is None else args.seed
     else:
         group = _load_group(args)
         master = args.seed if args.seed is not None else 0
-        rng = random.Random(derive_seed(master, "instance.p2"))
-        u_alice = _random_nonzero_vec(rng, group.m)
-        u_bob = _random_nonzero_vec(rng, group.m)
-        w = _random_element(rng, group)
+        u_alice, u_bob, w, policy = _draw_public(args, group, master, "p2")
         krange = args.range
-        policy = _policy_from(args, master)
-    pub = PublicParams2(group, w)
+    pub = protocols.PublicParams2(group, w)
     seed_a = derive_seed(master, "alice")
     seed_b = derive_seed(master, "bob")
     seed_x = derive_seed(master, "exchange")
-    alice = p2_party_setup(pub, u_alice, replace(policy, seed=seed_a), krange)
-    bob = p2_party_setup(pub, u_bob, replace(policy, seed=seed_b), krange)
-    _, msgs, keys = p2_exchange_full(
+    alice = protocols.p2_party_setup(pub, u_alice,
+                                     replace(policy, seed=seed_a), krange)
+    bob = protocols.p2_party_setup(pub, u_bob,
+                                   replace(policy, seed=seed_b), krange)
+    _, msgs, keys = protocols.p2_exchange_full(
         pub, alice, bob, replace(policy, seed=seed_x))
     _emit(args, {
         "protocol": "p2",
-        "params": {
-            "group": serialize.encode_matrix(group),
-            "w": serialize.encode_element(w),
-            "u_alice": serialize.encode_vector(u_alice),
-            "u_bob": serialize.encode_vector(u_bob),
-            "range": krange,
-            "policy": serialize.encode_policy(policy),
-        },
+        "params": _p2_public_block(group, w, u_alice, u_bob, krange, policy),
         "messages": [serialize.encode_element(msgs[0]),
                      serialize.encode_element(msgs[1])],
-        "keys": {"alice": serialize.encode_element(keys[0].value),
-                 "bob": serialize.encode_element(keys[1].value)},
+        "keys": {"alice": serialize.encode_element(keys[0]),
+                 "bob": serialize.encode_element(keys[1])},
         "seeds": {"master": master, "alice": seed_a, "bob": seed_b,
                   "exchange": seed_x},
     })
@@ -320,6 +327,8 @@ def cmd_kex_p2(args) -> int:
 
 
 def cmd_kex_orbit_dh(args) -> int:
+    from . import protocols
+
     group = _load_group(args)
     master = args.seed if args.seed is not None else 0
     rng = random.Random(derive_seed(master, "orbit-dh"))
@@ -329,7 +338,8 @@ def cmd_kex_orbit_dh(args) -> int:
     draw = min(_SIM_EXP_RANGE, args.max_exp + 1)
     m_a = rng.randrange(draw)
     n_b = rng.randrange(draw)
-    msg_a, msg_b, key = orbit_dh(group, x, m_a, n_b, max_exp=args.max_exp)
+    msg_a, msg_b, key = protocols.orbit_dh(group, x, m_a, n_b,
+                                           max_exp=args.max_exp)
     _emit(args, {
         "protocol": "orbit-dh",
         "params": {"group": serialize.encode_matrix(group),
@@ -392,7 +402,15 @@ def cmd_grammar_member(args) -> int:
 
 
 def _attack_clock(args):
+    from . import attacks
+
     return time.perf_counter if args.wall_clock else attacks.zero_clock
+
+
+def _window_arg(args):
+    if args.window is None:
+        return None
+    return serialize.decode_window(args.window, "window")
 
 
 def _emit_attack_result(args, result) -> None:
@@ -412,48 +430,59 @@ def _emit_attack_result(args, result) -> None:
 
 
 def cmd_attack_rst(args) -> int:
+    from . import attacks
+
+    window = _window_arg(args)
     instance = _decode_instance_p1(_read_json(args.instance))
     result = attacks.rst_greedy(instance, max_iter=args.max_iter,
-                                window=args.window,
-                                clock=_attack_clock(args))
+                                window=window, clock=_attack_clock(args))
     _emit_attack_result(args, result)
     return 0
 
 
 def cmd_attack_descent(args) -> int:
+    from . import attacks
+
+    window = _window_arg(args)
     instance = _decode_instance_p1(_read_json(args.instance))
     result = attacks.derivation_descent(instance, beam=args.beam,
                                         max_nodes=args.max_nodes,
                                         max_len=args.max_len,
-                                        window=args.window,
+                                        window=window,
                                         clock=_attack_clock(args))
     _emit_attack_result(args, result)
     return 0
 
 
-_DEFAULT_GRID = (
-    attacks.GridPoint(
-        grid_id="abelian-m2",
-        rows=((1, 0), (0, 1)),
-        u=(1, 0), v=(0, 1), w=(1, (1, 1), 0),
-        max_length=8, max_iter=24, beam=4, max_nodes=96, gens_window=0,
-    ),
-    attacks.GridPoint(
-        grid_id="bs2",
-        rows=((2,),),
-        u=(1,), v=(1,), w=(1, (1,), 1),
-        max_length=10, max_iter=32, beam=4, max_nodes=128, gens_window=2,
-    ),
-    attacks.GridPoint(
-        grid_id="m2-upper",
-        rows=((2, 1), (0, 3)),
-        u=(1, 0), v=(0, 1), w=(1, (1, -1), 1),
-        max_length=12, max_iter=32, beam=4, max_nodes=128, gens_window=2,
-    ),
-)
+def _default_grid() -> tuple:
+    """The sweep grid used when ``attack sweep`` gets no ``--grid``."""
+    from . import attacks
+
+    return (
+        attacks.GridPoint(
+            grid_id="abelian-m2",
+            rows=((1, 0), (0, 1)),
+            u=(1, 0), v=(0, 1), w=(1, (1, 1), 0),
+            max_length=8, max_iter=24, beam=4, max_nodes=96, gens_window=0,
+        ),
+        attacks.GridPoint(
+            grid_id="bs2",
+            rows=((2,),),
+            u=(1,), v=(1,), w=(1, (1,), 1),
+            max_length=10, max_iter=32, beam=4, max_nodes=128, gens_window=2,
+        ),
+        attacks.GridPoint(
+            grid_id="m2-upper",
+            rows=((2, 1), (0, 3)),
+            u=(1, 0), v=(0, 1), w=(1, (1, -1), 1),
+            max_length=12, max_iter=32, beam=4, max_nodes=128, gens_window=2,
+        ),
+    )
 
 
 def _decode_grid(obj) -> tuple:
+    from . import attacks
+
     if not isinstance(obj, list) or not obj:
         raise SchemaError("grid must be a nonempty JSON array")
     points = []
@@ -467,6 +496,7 @@ def _decode_grid(obj) -> tuple:
             {"m": len(entry["rows"]), "rows": entry["rows"]})
         w_obj = entry["w"]
         serialize._require_keys(w_obj, ("p", "v", "q"), "grid w")
+        window = entry.get("window")
         points.append(attacks.GridPoint(
             grid_id=str(entry["grid_id"]),
             rows=group.matrix.rows,
@@ -481,14 +511,18 @@ def _decode_grid(obj) -> tuple:
             max_iter=entry.get("max_iter", 64),
             beam=entry.get("beam", 8),
             max_nodes=entry.get("max_nodes", 512),
-            gens_window=entry.get("gens_window", 2),
-            window=entry.get("window"),
+            gens_window=serialize.decode_window(
+                entry.get("gens_window", 2), "gens_window"),
+            window=None if window is None else serialize.decode_window(
+                window, "window"),
         ))
     return tuple(points)
 
 
 def cmd_attack_sweep(args) -> int:
-    grid = _decode_grid(_read_json(args.grid)) if args.grid else _DEFAULT_GRID
+    from . import attacks
+
+    grid = _decode_grid(_read_json(args.grid)) if args.grid else _default_grid()
     clock = time.perf_counter if args.wall_clock else None
     out = attacks.run_experiments(grid, args.trials, args.seed, clock=clock,
                                   collect=bool(args.trials_json))
@@ -529,6 +563,10 @@ def cmd_selftest_oracle(args) -> int:
 # parser
 
 
+_WINDOW_HELP = (f"membership lattice window (0..{serialize.MAX_WINDOW}; "
+                "default: from each candidate)")
+
+
 def _add_out(p):
     p.add_argument("--out", help="write output to FILE instead of stdout")
 
@@ -563,7 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
         gi.add_argument("--max-len", type=int, default=16)
         gi.add_argument("--depth-cap", type=int, default=4)
         if name == "p1":
-            gi.add_argument("--gens-window", type=int, default=2)
+            gi.add_argument("--gens-window", type=int, default=2,
+                            help="attack generators t^-k u t^k for |k| <= "
+                                 f"this (0..{serialize.MAX_WINDOW})")
         _add_out(gi)
         gi.set_defaults(func=fn)
 
@@ -624,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sp.add_parser("rst", help="greedy generator-walk attack")
     a.add_argument("--instance", required=True)
     a.add_argument("--max-iter", type=int, default=200)
-    a.add_argument("--window", type=int, default=None)
+    a.add_argument("--window", type=int, default=None, help=_WINDOW_HELP)
     a.add_argument("--wall-clock", action="store_true")
     _add_out(a)
     a.set_defaults(func=cmd_attack_rst)
@@ -633,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--beam", type=int, default=8)
     a.add_argument("--max-nodes", type=int, default=2048)
     a.add_argument("--max-len", type=int, default=48)
-    a.add_argument("--window", type=int, default=None)
+    a.add_argument("--window", type=int, default=None, help=_WINDOW_HELP)
     a.add_argument("--wall-clock", action="store_true")
     _add_out(a)
     a.set_defaults(func=cmd_attack_descent)
@@ -667,9 +707,20 @@ def main(argv=None) -> int:
     except (SchemaError, GrammarError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyAgreementError, CommutationError, SampleBudgetError) as exc:
+    except _invariant_failures() as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 3
+
+
+def _invariant_failures() -> tuple:
+    """The exceptions that exit 3.
+
+    An except clause evaluates this only for an exception that got past
+    the clauses above it, so ``protocols`` is not loaded up front for it.
+    """
+    from .protocols import CommutationError, KeyAgreementError
+
+    return KeyAgreementError, CommutationError, SampleBudgetError
 
 
 if __name__ == "__main__":

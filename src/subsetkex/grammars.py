@@ -1,4 +1,4 @@
-"""Context-free grammars and finite automata over group-generator tokens.
+"""Context-free grammars over group-generator tokens.
 
 A grammar over the token alphabet of an ambient group, paired with the
 evaluation map, sweeps out a subset of the group; these grammars are the
@@ -10,11 +10,10 @@ finite, publishable descriptions the protocols exchange.  This module covers:
   * exact membership by conversion to Chomsky normal form plus CYK,
   * the closure constructions (formal inverse, union, star) that pass from a
     generating subset to the subgroup it generates,
-  * the conjugate-orbit grammar family t^-k w t^k,
-  * a one-hub finite automaton as the finitely-generated-subgroup baseline.
+  * the conjugate-orbit grammar family t^-k w t^k.
 
-Grammars and automata are immutable values; sampling owns its seeded
-generator, so everything here is safe for concurrent use.
+Grammars are immutable values; sampling owns its seeded generator, so
+everything here is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -33,17 +32,14 @@ from .groups import (
     invert_token,
     is_valid_token,
     token_dimension,
-    word_inverse,
 )
 
 __all__ = [
     "CFGrammar",
     "SubsetSpec",
     "SamplePolicy",
-    "FSAutomaton",
     "GrammarError",
     "SampleBudgetError",
-    "productive_check",
     "sample_grammar",
     "cfg_membership",
     "cfg_invert",
@@ -52,8 +48,6 @@ __all__ = [
     "subgroup_closure",
     "orbit_grammar",
     "orbit_spec",
-    "fsa_subgroup",
-    "fsa_sample",
     "shortest_word",
     "shortest_nonempty_word",
     "RANGE_NATURALS",
@@ -215,11 +209,6 @@ class CFGrammar:
                         return False
             pending = waiting
         return balance[self.start] == 0
-
-
-def productive_check(grammar: CFGrammar) -> frozenset:
-    """Least fixpoint of productive nonterminals."""
-    return grammar.productive
 
 
 @dataclass(frozen=True)
@@ -692,115 +681,3 @@ def shortest_nonempty_word(grammar: CFGrammar) -> Optional[tuple]:
         return out
 
     return tuple(expand(grammar.start, True))
-
-
-# ---------------------------------------------------------------------------
-# finite automata: the rational / finitely generated baseline
-
-
-@dataclass(frozen=True)
-class FSAutomaton:
-    """Token-labelled automaton; here always a hub with generator loops."""
-
-    states: tuple
-    initial: int
-    finals: frozenset
-    transitions: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        states = set(self.states)
-        if self.initial not in states:
-            raise ValueError("initial state is not a declared state")
-        if not self.finals <= states:
-            raise ValueError("final states must be declared states")
-        for src, tok, dst in self.transitions:
-            if src not in states or dst not in states:
-                raise ValueError("transition endpoints must be declared states")
-            if not is_valid_token(tok):
-                raise ValueError(f"invalid transition label {tok!r}")
-        # at least one accepting path must exist
-        seen = {self.initial}
-        queue = [self.initial]
-        while queue:
-            cur = queue.pop()
-            for src, _, dst in self.transitions:
-                if src == cur and dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        if not (seen & self.finals):
-            raise ValueError("automaton accepts nothing")
-
-    @cached_property
-    def _out(self) -> dict:
-        table: dict = {s: [] for s in self.states}
-        for src, tok, dst in self.transitions:
-            table[src].append((tok, dst))
-        return {s: tuple(sorted(v)) for s, v in table.items()}
-
-
-def fsa_subgroup(gens: Sequence[Sequence[str]]) -> FSAutomaton:
-    """Hub automaton looping on each generator word and its formal inverse.
-
-    Its language evaluates onto the subgroup generated by the words, the
-    finitely generated baseline the attack experiments compare against.
-    """
-    gens = [tuple(g) for g in gens]
-    if not gens:
-        raise ValueError("at least one generator word is required")
-    if any(not g for g in gens):
-        raise ValueError("generator words must be nonempty")
-    loops = []
-    for g in gens:
-        loops.append(g)
-        loops.append(word_inverse(g))
-    transitions = []
-    next_state = 1
-    for loop in loops:
-        prev = 0
-        for i, tok in enumerate(loop):
-            last = i == len(loop) - 1
-            dst = 0 if last else next_state
-            if not last:
-                next_state += 1
-            transitions.append((prev, tok, dst))
-            prev = dst
-    return FSAutomaton(
-        tuple(range(next_state)), 0, frozenset({0}), tuple(transitions)
-    )
-
-
-def fsa_sample(fsa: FSAutomaton, policy: SamplePolicy,
-               rng: Optional[random.Random] = None) -> tuple:
-    """Seeded random walk from the initial state, stopping at a final state."""
-    rng = random.Random(policy.seed) if rng is None else rng
-    bias = float(policy.terminal_bias)
-    for _ in range(_SAMPLE_ATTEMPTS):
-        out: list = []
-        state = fsa.initial
-        ok = True
-        while True:
-            options = fsa._out.get(state, ())
-            final = state in fsa.finals
-            if len(out) >= policy.max_length:
-                ok = final
-                break
-            if final:
-                if not options:
-                    break
-                if len(out) > policy.depth_cap:
-                    if rng.random() < bias:
-                        break
-                elif rng.randrange(len(options) + 1) == len(options):
-                    break
-            elif not options:
-                ok = False
-                break
-            tok, state = options[rng.randrange(len(options))]
-            out.append(tok)
-        if ok:
-            return tuple(out)
-    raise SampleBudgetError(
-        f"no accepted walk within {policy.max_length} tokens "
-        f"after {_SAMPLE_ATTEMPTS} attempts"
-    )

@@ -148,6 +148,36 @@ def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _bareiss_adjugate(rows: Sequence[Sequence[int]]) -> tuple:
+    """(det, adj) of a nonsingular matrix by one fraction-free pass.
+
+    Bareiss-style Gauss-Jordan elimination over [M | I]: every row but the
+    pivot row is updated at each step and every division is exact.  The
+    left block ends as d I and the right block as d M^-1, where d is the
+    last pivot, the determinant of the row-swapped M; swaps flip the sign.
+    Columns left of the pivot are already eliminated and are not touched.
+    """
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    sign = prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next(i for i in range(k + 1, n) if a[i][k])
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot_row = a[k][k:]
+        piv = pivot_row[0]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                row[k:] = [(piv * x - f * y) // prev
+                           for x, y in zip(row[k:], pivot_row)]
+        prev = piv
+    return sign * prev, tuple(tuple(sign * e for e in row[n:]) for row in a)
+
+
 def _mat_mul_rows(a, b) -> tuple:
     bt = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
@@ -190,26 +220,13 @@ class IntMatrix:
     @cached_property
     def adjugate(self) -> "IntMatrix":
         """adj(M) with M * adj(M) = det(M) * I; used for exact division by M."""
-        n = self.dim
-        if n == 1:
-            adj_rows = ((1,),)
-        else:
-            cof = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    minor = [
-                        [self.rows[r][c] for c in range(n) if c != j]
-                        for r in range(n)
-                        if r != i
-                    ]
-                    cof[i][j] = (-1) ** (i + j) * _det_bareiss(minor)
-            adj_rows = tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
-        adj = IntMatrix(adj_rows)
+        det, adj_rows = _bareiss_adjugate(self.rows)
         scaled = tuple(
-            tuple(self.det * e for e in row) for row in _identity_rows(n)
+            tuple(det * e for e in row) for row in _identity_rows(self.dim)
         )
-        assert _mat_mul_rows(self.rows, adj.rows) == scaled
-        return adj
+        assert det == self.det
+        assert _mat_mul_rows(self.rows, adj_rows) == scaled
+        return _trusted_matrix(adj_rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -237,7 +254,20 @@ def matrix_power(mat: IntMatrix, k: int) -> IntMatrix:
         k >>= 1
         if k:
             base = _mat_mul_rows(base, base)
-    return IntMatrix(rows)
+    return _trusted_matrix(rows)
+
+
+def _trusted_matrix(rows: tuple) -> IntMatrix:
+    """Trusted constructor: wraps integer rows known to be nonsingular.
+
+    Adjugates and powers of a nonsingular matrix are nonsingular, so their
+    determinant is not computed up front (a Bareiss pass over the large
+    entries of an adjugate costs far more than the adjugate itself); it is
+    still computed on first use.
+    """
+    mat = object.__new__(IntMatrix)
+    mat.__dict__["rows"] = rows  # bypasses frozen __setattr__
+    return mat
 
 
 def _vec_mat(v: Vec, mat: IntMatrix) -> Vec:

@@ -33,7 +33,6 @@ __all__ = [
     "PartySecret1",
     "PublicParams2",
     "Party2State",
-    "SessionKey",
     "CommutationError",
     "KeyAgreementError",
     "commutation_spot_check",
@@ -83,11 +82,6 @@ class Party2State:
     secret_anchor: GroupElement
     published_spec: SubsetSpec
     peer_pick: Optional[GroupElement] = None
-
-
-@dataclass(frozen=True)
-class SessionKey:
-    value: object  # GroupElement for p1/p2, base vector for orbit-dh
 
 
 _CHECK_POLICY = SamplePolicy(max_length=24, depth_cap=4)
@@ -173,14 +167,14 @@ def p1_keys(pub: PublicParams1, alice: PartySecret1, msg_b: GroupElement,
             bob: PartySecret1, msg_a: GroupElement):
     """Both parties wrap the peer's message in their own secrets.
 
-    K_A = a1 (b2 w a2) b1 and K_B = b2 (a1 w b1) a2 agree exactly because
-    the published subsets commute.
+    Returns (K_A, K_B): K_A = a1 (b2 w a2) b1 and K_B = b2 (a1 w b1) a2
+    agree exactly because the published subsets commute.
     """
     k_a = alice.a * msg_b * alice.b
     k_b = bob.b * msg_a * bob.a
     if k_a != k_b:
         raise KeyAgreementError("p1 key mismatch: commutation violated")
-    return SessionKey(k_a), SessionKey(k_b)
+    return k_a, k_b
 
 
 def p2_party_setup(pub: PublicParams2, u: Iterable[int], policy: SamplePolicy,
@@ -226,7 +220,7 @@ def p2_exchange_full(pub: PublicParams2, alice: Party2State, bob: Party2State,
     if k_a != k_b:
         raise KeyAgreementError("p2 key mismatch: centralizer invariant violated")
     states = (replace(alice, peer_pick=a2), replace(bob, peer_pick=b1))
-    return states, (msg_a, msg_b), (SessionKey(k_a), SessionKey(k_b))
+    return states, (msg_a, msg_b), (k_a, k_b)
 
 
 def p2_exchange(pub: PublicParams2, alice: Party2State, bob: Party2State,

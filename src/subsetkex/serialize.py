@@ -18,6 +18,10 @@ above MAX_STABLE_EXPONENT are refused: Britton reduction may take one step
 per unit of min(p, q), so a few bytes of JSON could otherwise stall it.  So
 is an element whose reduced entries have more decimal digits than Python
 converts (``sys.get_int_max_str_digits``): it could not be encoded again.
+Attack windows (a lattice window K, or a generator window g giving the
+conjugates t^-k u t^k for |k| <= g) are integers in 0..MAX_WINDOW: the
+window basis has 2K+1 rows of about K log2|det M| bits, and a generator
+window multiplies every attack step by 2(2g+1) candidates.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .groups import GroupElement, GroupParams, IntMatrix, is_valid_token
 
 __all__ = [
     "MAX_STABLE_EXPONENT",
+    "MAX_WINDOW",
     "SchemaError",
     "dumps",
     "loads",
@@ -46,10 +51,12 @@ __all__ = [
     "decode_grammar",
     "encode_policy",
     "decode_policy",
+    "decode_window",
 ]
 
 
 MAX_STABLE_EXPONENT = 1 << 16
+MAX_WINDOW = 64
 
 
 class SchemaError(ValueError):
@@ -233,3 +240,13 @@ def decode_policy(obj) -> SamplePolicy:
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
+
+
+def decode_window(value, what: str) -> int:
+    """An attack window: an integer in 0..MAX_WINDOW."""
+    value = _as_int(value, what)
+    if value < 0:
+        raise SchemaError(f"{what} must be nonnegative")
+    if value > MAX_WINDOW:
+        raise SchemaError(f"{what} exceeds {MAX_WINDOW}")
+    return value

@@ -376,7 +376,7 @@ def test_rst_matches_three_product_reference():
     # the highest generator index instead of the lowest
     rng = random.Random(5)
     cases = [(point, derive_seed(17, point.grid_id, trial))
-             for point in cli._DEFAULT_GRID for trial in range(12)]
+             for point in cli._default_grid() for trial in range(12)]
     cases += [(sweep_random_point(rng, i), derive_seed(18, i))
               for i in range(64)]
     outcomes = []

@@ -1,12 +1,13 @@
 """CLI: subcommand behaviour, exit codes, byte-level determinism."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from subsetkex import cli
+from subsetkex import cli, protocols, serialize
 from subsetkex.cli import main
 
 
@@ -133,6 +134,14 @@ def test_instance_p2_roundtrip(capsys, tmp_path, params_file):
     obj = json.loads(out1)
     assert obj["keys"]["alice"] == obj["keys"]["bob"]
     assert obj["seeds"]["master"] == 4
+    bad = tmp_path / "bad.json"
+    for seed in ("4", True, "x"):
+        bad.write_text(json.dumps(dict(json.loads(ipath.read_text()),
+                                       seed=seed)))
+        code, out, err = run(capsys, "kex", "p2", "simulate",
+                             "--instance", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: instance seed must be an integer\n"
 
 
 def test_sampler_budget_exit_code(capsys, tmp_path):
@@ -197,9 +206,11 @@ def test_instance_terminal_bias_reaches_samplers(capsys, tmp_path, params_file,
             return original(*args)
         return wrapper
 
-    monkeypatch.setattr(cli, "p1_round", spy(cli.p1_round, 1, 2))
-    monkeypatch.setattr(cli, "p2_party_setup", spy(cli.p2_party_setup, 2))
-    monkeypatch.setattr(cli, "p2_exchange_full", spy(cli.p2_exchange_full, 3))
+    monkeypatch.setattr(protocols, "p1_round", spy(protocols.p1_round, 1, 2))
+    monkeypatch.setattr(protocols, "p2_party_setup",
+                        spy(protocols.p2_party_setup, 2))
+    monkeypatch.setattr(protocols, "p2_exchange_full",
+                        spy(protocols.p2_exchange_full, 3))
     for protocol, ipath in paths:
         code, _, _ = run(capsys, "kex", protocol, "simulate",
                          "--instance", str(ipath))
@@ -242,3 +253,49 @@ def test_kex_p1_instance_header_checked(capsys, tmp_path, p1_instance):
             code, out, err = run(capsys, *argv, "--instance", str(bad))
             assert (code, out) == (2, "")
             assert err == f"error: {message}\n"
+
+
+def test_attack_windows_capped(capsys, tmp_path, params_file):
+    """Windows up to MAX_WINDOW run in bounded time; one more is refused."""
+    cap = serialize.MAX_WINDOW
+    path = tmp_path / "cap.json"
+    code, _, _ = run(capsys, "instance", "p1", "gen", "--params", params_file,
+                     "--seed", "4", "--gens-window", str(cap),
+                     "--out", str(path))
+    assert code == 0
+    obj = json.loads(path.read_text())
+    assert obj["gens_window"] == cap
+    # a target the walk cannot reach keeps it from stopping early
+    obj["target"] = {"p": 3, "v": ["1", "1"], "q": 0}
+    path.write_text(json.dumps(obj))
+    t0 = time.perf_counter()
+    for attack, budget in (("rst", ("--max-iter", "20")),
+                           ("descent", ("--max-nodes", "512"))):
+        code, out, _ = run(capsys, "attack", attack, "--instance", str(path),
+                           "--window", str(cap), *budget)
+        assert code == 0 and json.loads(out)["success"] is False
+    assert time.perf_counter() - t0 < 5.0  # about 0.2 s on a 2-CPU Xeon
+
+    def refused(argv, what, value):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: {what} exceeds {cap}\n" if value > cap else
+                       f"error: {what} must be nonnegative\n")
+
+    bad = tmp_path / "bad.json"
+    grid = tmp_path / "grid.json"
+    entry = {"grid_id": "g", "rows": [[2]], "u": ["1"], "v": ["1"],
+             "w": {"p": 1, "v": ["1"], "q": 1}}
+    assert cli._decode_grid([dict(entry, window=cap, gens_window=cap)])
+    for value in (cap + 1, -1):
+        refused(("instance", "p1", "gen", "--params", params_file,
+                 "--gens-window", str(value)), "gens_window", value)
+        bad.write_text(json.dumps(dict(obj, gens_window=value)))
+        for attack in ("rst", "descent"):
+            refused(("attack", attack, "--instance", str(path),
+                     "--window", str(value)), "window", value)
+            refused(("attack", attack, "--instance", str(bad)),
+                    "gens_window", value)
+        for key in ("window", "gens_window"):
+            grid.write_text(json.dumps([dict(entry, **{key: value})]))
+            refused(("attack", "sweep", "--grid", str(grid)), key, value)

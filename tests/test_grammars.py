@@ -1,4 +1,4 @@
-"""Grammar machinery: sampling, CYK membership, closures, automata."""
+"""Grammar machinery: sampling, CYK membership, closures."""
 
 import random
 from dataclasses import replace
@@ -21,12 +21,9 @@ from subsetkex import (
     cfg_membership,
     cfg_star,
     cfg_union,
-    fsa_sample,
-    fsa_subgroup,
     lattice_member,
     orbit_grammar,
     orbit_spec,
-    productive_check,
     sample_grammar,
     shortest_nonempty_word,
     shortest_word,
@@ -77,7 +74,7 @@ def orbit_x1(bs2, krange=RANGE_NATURALS):
 
 def test_productive_simple():
     g = CFGrammar(("S",), "S", (("S", ("x1",)),))
-    assert productive_check(g) == frozenset({"S"})
+    assert g.productive == frozenset({"S"})
 
 
 def test_unproductive_start_rejected():
@@ -87,7 +84,7 @@ def test_unproductive_start_rejected():
 
 def test_productive_orbit_shape(bs2):
     g = orbit_x1(bs2)
-    assert productive_check(g) == frozenset({"S"})
+    assert g.productive == frozenset({"S"})
 
 
 def test_bad_symbols_rejected():
@@ -434,36 +431,42 @@ def test_shortest_words(bs2):
 
 
 # ---------------------------------------------------------------------------
-# automata
+# closures of finite generator sets: the finitely generated baseline
 
 
-def test_fsa_powers(bs2):
-    fsa = fsa_subgroup([("x1",)])
+def finite_closure(group, gens):
+    """(L u L^-1)* for the finite language L = gens: the generated subgroup."""
+    grammar = CFGrammar(("S",), "S", tuple(("S", tuple(g)) for g in gens))
+    return subgroup_closure(SubsetSpec(grammar, group))
+
+
+def test_finite_closure_powers(bs2):
+    closed = finite_closure(bs2, [("x1",)])
     for seed in range(20):
-        w = fsa_sample(fsa, SamplePolicy(max_length=10, depth_cap=2, seed=seed))
+        w = closed.sample(SamplePolicy(max_length=10, depth_cap=2, seed=seed))
         assert all(tok in ("x1", "x1^-1") for tok in w)
 
 
-def test_fsa_accepts_identity(bs2):
-    fsa = fsa_subgroup([("x1",)])
+def test_finite_closure_accepts_identity(bs2):
+    closed = finite_closure(bs2, [("x1",)])
+    assert cfg_membership((), closed.grammar)
     hits = [
         seed
         for seed in range(40)
-        if bs2.evaluate(
-            fsa_sample(fsa, SamplePolicy(max_length=8, depth_cap=2, seed=seed))
-        ).is_identity()
+        if closed.sample_element(
+            SamplePolicy(max_length=8, depth_cap=2, seed=seed)).is_identity()
     ]
     assert hits
 
 
-def test_fsa_samples_in_generated_subgroup(flat2):
+def test_finite_closure_samples_in_generated_subgroup(flat2):
     # abelian case: the subgroup generated by (2, 0) and (0, 3) is a lattice,
     # so the window-lattice membership oracle can certify every sample
     gens = [flat2.base((2, 0)).to_word(), flat2.base((0, 3)).to_word()]
-    fsa = fsa_subgroup(gens)
+    closed = finite_closure(flat2, gens)
     for seed in range(25):
-        g = flat2.evaluate(
-            fsa_sample(fsa, SamplePolicy(max_length=12, depth_cap=3, seed=seed)))
+        g = closed.sample_element(
+            SamplePolicy(max_length=12, depth_cap=3, seed=seed))
         assert g.oracle().d == 0
         ok = any(
             lattice_member(flat2, tuple(a - b for a, b in zip(g.v, mult)),
@@ -473,8 +476,9 @@ def test_fsa_samples_in_generated_subgroup(flat2):
         assert ok
 
 
-def test_fsa_rejects_empty_gens():
-    with pytest.raises(ValueError):
-        fsa_subgroup([])
-    with pytest.raises(ValueError):
-        fsa_subgroup([()])
+def test_finite_closure_rejects_empty_gens(bs2):
+    with pytest.raises(GrammarError):
+        finite_closure(bs2, [])
+    # an empty generator word generates the trivial subgroup only
+    trivial = finite_closure(bs2, [()])
+    assert shortest_nonempty_word(trivial.grammar) is None

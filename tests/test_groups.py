@@ -46,6 +46,67 @@ def test_matrix_requires_nonzero_det():
         IntMatrix(((0,),))
 
 
+def fraction_det(rows):
+    """Independent determinant: Gaussian elimination over the rationals."""
+    a = [[Fraction(e) for e in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+def cofactor_adjugate(rows):
+    """Reference adj(M): transposed cofactors, one determinant per entry."""
+    n = len(rows)
+    return tuple(
+        tuple((-1) ** (i + j) * fraction_det(
+            [[e for c, e in enumerate(row) if c != i]
+             for r, row in enumerate(rows) if r != j])
+            for j in range(n))
+        for i in range(n))
+
+
+def test_adjugate_matches_cofactors():
+    rng = random.Random(41)
+    cases = list(FOLD_MATRICES)
+    while len(cases) < len(FOLD_MATRICES) + 300:
+        n = rng.randint(1, 6)
+        rows = tuple(tuple(rng.choice((0, 0, -3, -2, -1, 1, 2, 3))
+                           for _ in range(n)) for _ in range(n))
+        try:
+            IntMatrix(rows)
+        except ValueError:
+            continue
+        cases.append(rows)
+    for rows in cases:
+        mat = IntMatrix(rows)
+        assert mat.adjugate.rows == cofactor_adjugate(rows), rows
+        assert mat.adjugate.det == mat.det ** (len(rows) - 1)
+
+
+def test_adjugate_m40_in_time():
+    rng = random.Random(40)
+    rows = tuple(tuple(rng.randint(-3, 3) for _ in range(40))
+                 for _ in range(40))
+    mat = IntMatrix(rows)
+    t0 = time.perf_counter()
+    adj = mat.adjugate
+    elapsed = time.perf_counter() - t0
+    product = (mat @ adj).rows
+    assert product == tuple(tuple(mat.det if i == j else 0 for j in range(40))
+                            for i in range(40))
+    assert elapsed < 2.0  # one cofactor determinant per entry took ~12 s
+
+
 def test_identity_element(bs2):
     e = bs2.identity()
     assert (e.p, e.v, e.q) == (0, (0,), 0)

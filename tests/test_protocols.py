@@ -124,7 +124,7 @@ def test_p1_abelian_oracle_sum(flat2):
         a + b + c + d + e
         for a, b, c, d, e in zip(alice.a.v, bob.b.v, w.v, bob.a.v, alice.b.v)
     ]
-    assert list(k_a.value.v) == key_sum
+    assert list(k_a.v) == key_sum
 
 
 def test_p1_msg_differs_from_w(upper2):
@@ -153,7 +153,7 @@ def test_p1_identity_secrets_give_w(upper2):
     alice = PartySecret1(e, e)
     bob = PartySecret1(e, e)
     k_a, k_b = p1_keys(pub, alice, w, bob, w)
-    assert k_a.value == w and k_b.value == w
+    assert k_a == w and k_b == w
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def test_p2_identity_picks_give_w(upper2):
     for seed in range(200):
         states, msgs, keys = p2_exchange_full(pub, alice, bob, pol(seed))
         if states[0].peer_pick.is_identity() and states[1].peer_pick.is_identity():
-            assert keys[0].value == w and keys[1].value == w
+            assert keys[0] == w and keys[1] == w
             return
     pytest.fail("no all-identity exchange found")
 
@@ -220,7 +220,7 @@ def test_p2_abelian_oracle_sum(flat2):
             alice.secret_anchor.v, states[1].peer_pick.v, w.v,
             states[0].peer_pick.v, bob.secret_anchor.v)
     ]
-    assert list(keys[0].value.v) == total
+    assert list(keys[0].v) == total
 
 
 # ---------------------------------------------------------------------------
