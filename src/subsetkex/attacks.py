@@ -45,7 +45,7 @@ from .groups import (
     Vec,
     default_length,
 )
-from .protocols import PublicParams1, p1_round, p1_setup
+from .protocols import PublicParams1, p1_check, p1_draw, p1_setup
 from .seeding import derive_seed
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "MembershipVerdict",
     "AttackInstance",
     "AttackResult",
+    "P1Public",
     "GridPoint",
     "lattice_member",
     "subset_distance",
@@ -62,6 +63,8 @@ __all__ = [
     "rst_greedy",
     "derivation_descent",
     "verify_break",
+    "p1_public",
+    "p1_attack_instance",
     "build_p1_instance",
     "run_experiments",
     "zero_clock",
@@ -310,11 +313,19 @@ class AttackInstance:
 
     ``gens_a`` switches on generator mode (a finite approximation of the
     left subset); when None the grammar of pub.spec_a is attacked directly.
+    ``gen_b`` is the right orbit's generator, which certifies candidate
+    right factors; when not given it is recovered from pub.spec_b.
     """
 
     pub: PublicParams1
     target: GroupElement
     gens_a: Optional[tuple] = None
+    gen_b: Optional[Vec] = None
+
+    def __post_init__(self):
+        if self.gen_b is None:
+            object.__setattr__(self, "gen_b",
+                               extract_orbit_generator(self.pub.spec_b))
 
 
 @dataclass(frozen=True)
@@ -366,23 +377,22 @@ def _membership_window(b: GroupElement, window: Optional[int]) -> int:
 
 def _certifier(instance: AttackInstance, window: Optional[int],
                verify_trials: int):
-    """(gen_b, certified): the right orbit's generator and the break test.
+    """The break test: ``certified(a, b)``.
 
-    ``certified(a, b)`` holds when b is a window-lattice member and the
-    pair (a, b), used as both cracks, passes ``verify_break``.
+    It holds when b is a window-lattice member and the pair (a, b), used as
+    both cracks, passes ``verify_break``.
     """
     pub = instance.pub
-    gen_b = extract_orbit_generator(pub.spec_b)
 
     def certified(a_cand: GroupElement, b_cand: GroupElement) -> bool:
-        verdict = lattice_member(pub.group, b_cand, gen_b,
+        verdict = lattice_member(pub.group, b_cand, instance.gen_b,
                                  _membership_window(b_cand, window))
         return verdict.is_member and verify_break(
             pub, instance.target, instance.target,
             a_cand, b_cand, a_cand, b_cand, trials=verify_trials,
         )
 
-    return gen_b, certified
+    return certified
 
 
 def rst_greedy(instance: AttackInstance, max_iter: int = 200,
@@ -410,7 +420,8 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
         raise ValueError("rst_greedy needs generator mode (gens_a supplied)")
     pub = instance.pub
     group = pub.group
-    gen_b, certified = _certifier(instance, window, verify_trials)
+    gen_b = instance.gen_b
+    certified = _certifier(instance, window, verify_trials)
 
     def distance(b_cand: GroupElement) -> int:
         return subset_distance(group, b_cand, gen_b,
@@ -466,7 +477,7 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     pub = instance.pub
     grammar = pub.spec_a.grammar
     group = pub.group
-    _, certified = _certifier(instance, window, verify_trials)
+    certified = _certifier(instance, window, verify_trials)
     w_inv = pub.w.inverse()
     t0 = clock()
 
@@ -532,6 +543,42 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     return AttackResult(False, None, expanded, best, clock() - t0)
 
 
+@dataclass(frozen=True)
+class P1Public:
+    """The public data shared by every p1 attack instance on one setup.
+
+    ``pub`` comes from ``p1_setup``, with the commutation check left to each
+    instance (``p1_attack_instance``); ``gen_b`` is the right orbit's
+    generator and ``gens_a`` the left generators t^-k u t^k for |k| <= the
+    generator window, both recovered from the published grammars.
+    """
+
+    pub: PublicParams1
+    gen_b: Vec
+    gens_a: tuple
+
+
+def p1_public(group: GroupParams, u: Vec, v: Vec, w: GroupElement,
+              krange: str, gens_window: int) -> P1Public:
+    """Set up p1 on (u, v, w) and recover what the attacks use from it."""
+    pub = p1_setup(group, u, v, w, krange, check_trials=0)
+    base = group.base(extract_orbit_generator(pub.spec_a))
+    gens = tuple(base.conj_t(k) for k in range(-gens_window, gens_window + 1))
+    return P1Public(pub, extract_orbit_generator(pub.spec_b), gens)
+
+
+def p1_attack_instance(public: P1Public, target: GroupElement,
+                       seed: int) -> AttackInstance:
+    """The attack on ``target`` over shared public data.
+
+    The setup's commutation check runs here, once per instance: nothing
+    where both grammars are ``t_balanced``, else 8 sampled cross pairs
+    seeded from ``derive_seed(seed, "check")``.
+    """
+    p1_check(public.pub, trials=8, seed=derive_seed(seed, "check"))
+    return AttackInstance(public.pub, target, public.gens_a, public.gen_b)
+
+
 # ---------------------------------------------------------------------------
 # experiment runner
 
@@ -559,33 +606,31 @@ class GridPoint:
         """Built once per point, so its adjugate and power memo persist."""
         return GroupParams(IntMatrix(self.rows))
 
+    @cached_property
+    def public(self) -> P1Public:
+        """Built once per point and shared by all of its trials."""
+        group = self.group
+        return p1_public(group, self.u, self.v, group.element(*self.w),
+                         self.krange, self.gens_window)
+
 
 def build_p1_instance(point: GridPoint, trial_seed: int) -> AttackInstance:
     """A genuine seeded protocol round packaged as an attack target.
 
-    The public data that does not depend on the trial is shared across
-    trials: the point's group and the closure grammars of its orbit words.
-    Per trial run the ``w`` element, the protocol round's draws, and the
-    sampled commutation check of any uncertified pair (seeded from
-    ``trial_seed``).
+    Only the trial's own work is done here: Alice's half of a p1 round
+    (``p1_draw``, two draws seeded from ``derive_seed(trial_seed,
+    "alice")``), her message a1 w b1 as the target, and the sampled
+    commutation check of an uncertified pair.  Bob's half is not drawn; it
+    would not change a byte of the target.  The public data is the point's
+    ``public``, built once.
     """
-    group = point.group
-    w = group.element(point.w[0], point.w[1], point.w[2])
-    pub = p1_setup(group, point.u, point.v, w, point.krange,
-                   check_trials=8, check_seed=derive_seed(trial_seed, "check"))
-    policy_a = SamplePolicy(max_length=point.max_length,
-                            depth_cap=point.depth_cap,
-                            seed=derive_seed(trial_seed, "alice"))
-    policy_b = SamplePolicy(max_length=point.max_length,
-                            depth_cap=point.depth_cap,
-                            seed=derive_seed(trial_seed, "bob"))
-    _, msg_a, _, _ = p1_round(pub, policy_a, policy_b)
-    u_vec = extract_orbit_generator(pub.spec_a)
-    base = group.base(u_vec)
-    gens = tuple(
-        base.conj_t(k) for k in range(-point.gens_window, point.gens_window + 1)
-    )
-    return AttackInstance(pub, msg_a, gens)
+    pub = point.public.pub
+    policy = SamplePolicy(max_length=point.max_length,
+                          depth_cap=point.depth_cap,
+                          seed=derive_seed(trial_seed, "alice"))
+    alice = p1_draw(pub, policy, 1)
+    return p1_attack_instance(point.public, alice.a * pub.w * alice.b,
+                              trial_seed)
 
 
 def _run_one(point: GridPoint, mode: str, trial_seed: int,

@@ -235,16 +235,23 @@ def _read_instance_p1(obj):
 
 
 def _decode_instance_p1(obj):
-    from . import attacks, protocols
+    """The attack instance of a p1 instance file.
+
+    The target's stable exponents are capped at ``serialize.MAX_WINDOW``:
+    without ``--window`` a candidate right factor gets the window
+    p + q + 8 from its own exponents, and the lattice work grows faster
+    than linearly in it.
+    """
+    from . import attacks
 
     params, seed, gens_window = _read_instance_p1(obj)
-    group, u, v, w, krange, policy = params
-    pub = protocols.p1_setup(group, u, v, w, krange, check_trials=8,
-                             check_seed=derive_seed(seed, "check"))
+    group, u, v, w, krange, _ = params
+    public = attacks.p1_public(group, u, v, w, krange, gens_window)
     target = serialize.decode_element(group, obj["target"])
-    base = group.base(attacks.extract_orbit_generator(pub.spec_a))
-    gens = tuple(base.conj_t(k) for k in range(-gens_window, gens_window + 1))
-    return attacks.AttackInstance(pub, target, gens)
+    if max(target.p, target.q) > serialize.MAX_WINDOW:
+        raise SchemaError(
+            f"target stable exponents exceed {serialize.MAX_WINDOW}")
+    return attacks.p1_attack_instance(public, target, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +400,9 @@ def cmd_grammar_sample(args) -> int:
 def cmd_grammar_member(args) -> int:
     grammar = serialize.decode_grammar(_read_json(args.grammar))
     word = serialize.decode_word(serialize.loads(args.word))
+    if len(word) > serialize.MAX_MEMBER_WORD:
+        raise SchemaError(
+            f"word has more than {serialize.MAX_MEMBER_WORD} tokens")
     _emit(args, "true" if cfg_membership(word, grammar) else "false")
     return 0
 
@@ -655,7 +665,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_grammar_sample)
     g = sp.add_parser("member", help="CYK language membership")
     g.add_argument("--grammar", required=True)
-    g.add_argument("--word", required=True)
+    g.add_argument("--word", required=True,
+                   help="JSON word of at most "
+                        f"{serialize.MAX_MEMBER_WORD} tokens (CYK is cubic "
+                        "in the word length)")
     _add_out(g)
     g.set_defaults(func=cmd_grammar_member)
 

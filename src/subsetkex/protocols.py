@@ -37,6 +37,8 @@ __all__ = [
     "KeyAgreementError",
     "commutation_spot_check",
     "p1_setup",
+    "p1_check",
+    "p1_draw",
     "p1_round",
     "p1_keys",
     "p2_party_setup",
@@ -135,12 +137,37 @@ def p1_setup(group: GroupParams, u: Iterable[int], v: Iterable[int],
     base hull (the kernel of t -> 1) and commute.  ``commutation_spot_check``
     runs only when a grammar lacks that certificate (``t_balanced``).
     """
-    spec_a = _closure_of_orbit(group, u, krange)
-    spec_b = _closure_of_orbit(group, v, krange)
-    if not (spec_a.grammar.t_balanced and spec_b.grammar.t_balanced):
-        commutation_spot_check(spec_a, spec_b, trials=check_trials,
-                               seed=check_seed, policy=check_policy)
-    return PublicParams1(group, w, spec_a, spec_b)
+    pub = PublicParams1(group, w, _closure_of_orbit(group, u, krange),
+                        _closure_of_orbit(group, v, krange))
+    p1_check(pub, trials=check_trials, seed=check_seed, policy=check_policy)
+    return pub
+
+
+def p1_check(pub: PublicParams1, trials: int = 32, seed: int = 0,
+             policy: Optional[SamplePolicy] = None) -> None:
+    """Check that the published subsets commute.
+
+    Two ``t_balanced`` grammars certify it outright; otherwise
+    ``commutation_spot_check`` samples ``trials`` cross pairs.
+    """
+    if not (pub.spec_a.grammar.t_balanced and pub.spec_b.grammar.t_balanced):
+        commutation_spot_check(pub.spec_a, pub.spec_b, trials=trials,
+                               seed=seed, policy=policy)
+
+
+def p1_draw(pub: PublicParams1, policy: SamplePolicy,
+            index: int) -> PartySecret1:
+    """Party ``index``'s secret pair (a_index, b_index), one draw per subset.
+
+    Alice is party 1 and Bob party 2.  The draws are seeded from the
+    party's own policy seed only, so one party's half is the same whether
+    or not the other half is drawn.
+    """
+    a = pub.spec_a.sample_element(
+        replace(policy, seed=derive_seed(policy.seed, f"p1.a{index}")))
+    b = pub.spec_b.sample_element(
+        replace(policy, seed=derive_seed(policy.seed, f"p1.b{index}")))
+    return PartySecret1(a, b)
 
 
 def p1_round(pub: PublicParams1, policy_a: SamplePolicy,
@@ -150,17 +177,9 @@ def p1_round(pub: PublicParams1, policy_a: SamplePolicy,
     Returns (alice_secret, msg_a, bob_secret, msg_b); the secrets stay with
     their parties, the messages go on the wire.
     """
-    a1 = pub.spec_a.sample_element(
-        replace(policy_a, seed=derive_seed(policy_a.seed, "p1.a1")))
-    b1 = pub.spec_b.sample_element(
-        replace(policy_a, seed=derive_seed(policy_a.seed, "p1.b1")))
-    a2 = pub.spec_a.sample_element(
-        replace(policy_b, seed=derive_seed(policy_b.seed, "p1.a2")))
-    b2 = pub.spec_b.sample_element(
-        replace(policy_b, seed=derive_seed(policy_b.seed, "p1.b2")))
-    alice = PartySecret1(a1, b1)
-    bob = PartySecret1(a2, b2)
-    return alice, a1 * pub.w * b1, bob, b2 * pub.w * a2
+    alice = p1_draw(pub, policy_a, 1)
+    bob = p1_draw(pub, policy_b, 2)
+    return alice, alice.a * pub.w * alice.b, bob, bob.b * pub.w * bob.a
 
 
 def p1_keys(pub: PublicParams1, alice: PartySecret1, msg_b: GroupElement,

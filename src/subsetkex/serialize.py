@@ -21,7 +21,10 @@ converts (``sys.get_int_max_str_digits``): it could not be encoded again.
 Attack windows (a lattice window K, or a generator window g giving the
 conjugates t^-k u t^k for |k| <= g) are integers in 0..MAX_WINDOW: the
 window basis has 2K+1 rows of about K log2|det M| bits, and a generator
-window multiplies every attack step by 2(2g+1) candidates.
+window multiplies every attack step by 2(2g+1) candidates.  The same cap
+bounds each stable exponent of an attack target, which sets the window of
+a candidate given no explicit one.  Words tested by CYK membership have at
+most MAX_MEMBER_WORD tokens: the parse is cubic in the word length.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .groups import GroupElement, GroupParams, IntMatrix, is_valid_token
 __all__ = [
     "MAX_STABLE_EXPONENT",
     "MAX_WINDOW",
+    "MAX_MEMBER_WORD",
     "SchemaError",
     "dumps",
     "loads",
@@ -57,6 +61,7 @@ __all__ = [
 
 MAX_STABLE_EXPONENT = 1 << 16
 MAX_WINDOW = 64
+MAX_MEMBER_WORD = 128
 
 
 class SchemaError(ValueError):

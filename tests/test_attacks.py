@@ -226,9 +226,79 @@ def test_build_p1_instance_cold_or_warm(monkeypatch):
     warm = build_p1_instance(shared, 4)
     assert warm == cold == build_p1_instance(point(), 4)
     assert cold.target != cold.pub.w  # the secrets are not the identity
-    assert warm.pub.group is cold.pub.group is shared.group
-    assert warm.pub.spec_a.grammar is cold.pub.spec_a.grammar
+    assert warm.pub is cold.pub is shared.public.pub  # built once per point
+    assert warm.gens_a is cold.gens_a
+    assert cold.pub.group is shared.group
     assert build_p1_instance(shared, 0) != cold  # the draws are per trial
+
+
+def full_round_instance(point, seed):
+    """The instance assembled from scratch out of a whole p1 round."""
+    group = GroupParams(IntMatrix(point.rows))
+    pub = p1_setup(group, point.u, point.v, group.element(*point.w),
+                   point.krange)
+
+    def policy(party):
+        return SamplePolicy(max_length=point.max_length,
+                            depth_cap=point.depth_cap,
+                            seed=derive_seed(seed, party))
+
+    _, msg_a, _, _ = p1_round(pub, policy("alice"), policy("bob"))
+    base = group.base(extract_orbit_generator(pub.spec_a))
+    gens = tuple(base.conj_t(k)
+                 for k in range(-point.gens_window, point.gens_window + 1))
+    return AttackInstance(pub, msg_a, gens)
+
+
+def test_build_p1_instance_is_alices_round_message():
+    rng = random.Random(9)
+    points = list(cli._default_grid())
+    points += [sweep_random_point(rng, i) for i in range(8)]
+    for point in points:
+        for trial in range(4):
+            seed = derive_seed(23, point.grid_id, trial)
+            expect = full_round_instance(point, seed)
+            got = build_p1_instance(point, seed)
+            assert got.target == expect.target, point
+            assert got == expect, point
+
+
+def test_build_p1_instance_draws_two_secrets(monkeypatch):
+    draws = []
+    sample_element = SubsetSpec.sample_element
+
+    def counting(spec, policy):
+        draws.append(policy.seed)
+        return sample_element(spec, policy)
+
+    monkeypatch.setattr(SubsetSpec, "sample_element", counting)
+    for point in cli._default_grid():
+        for seed in (7, 8):  # the first build also builds the shared data
+            draws.clear()
+            build_p1_instance(point, seed)
+            alice = derive_seed(seed, "alice")
+            assert draws == [derive_seed(alice, "p1.a1"),
+                             derive_seed(alice, "p1.b1")]
+
+
+def test_uncertified_pair_spot_checked_per_trial(monkeypatch):
+    monkeypatch.setattr(protocols, "_closure_grammars", {})
+    monkeypatch.setattr(CFGrammar, "t_balanced", False)
+    checks = []
+    spot_check = protocols.commutation_spot_check
+
+    def spy(spec_x, spec_y, trials=32, seed=0, policy=None):
+        if trials:  # the shared setup defers its check to the trials
+            checks.append((trials, seed))
+        spot_check(spec_x, spec_y, trials, seed, policy)
+
+    monkeypatch.setattr(protocols, "commutation_spot_check", spy)
+    point = GridPoint(grid_id="m2-upper", rows=((2, 1), (0, 3)), u=(1, 0),
+                      v=(0, 1), w=(1, (1, -1), 1), max_length=12)
+    seeds = (3, 4, 3)
+    for seed in seeds:
+        build_p1_instance(point, seed)
+    assert checks == [(8, derive_seed(seed, "check")) for seed in seeds]
 
 
 def test_extract_orbit_generator(bs2, upper2):

@@ -299,3 +299,51 @@ def test_attack_windows_capped(capsys, tmp_path, params_file):
         for key in ("window", "gens_window"):
             grid.write_text(json.dumps([dict(entry, **{key: value})]))
             refused(("attack", "sweep", "--grid", str(grid)), key, value)
+
+
+def test_attack_target_exponents_capped(capsys, tmp_path, p1_instance):
+    """Targets with stable exponents up to MAX_WINDOW run in bounded time."""
+    cap = serialize.MAX_WINDOW
+    obj = json.loads(p1_instance.read_text())
+    path = tmp_path / "target.json"
+
+    def with_target(p, q):
+        path.write_text(json.dumps(dict(obj, target={"p": p, "v": ["1", "0"],
+                                                     "q": q})))
+        return ("--instance", str(path))
+
+    # the largest target accepted; (1, 0) is not in the image of M, so
+    # the exponents survive reduction
+    largest = with_target(cap, cap)
+    inst = cli._decode_instance_p1(json.loads(path.read_text()))
+    assert (inst.target.p, inst.target.q) == (cap, cap)
+    t0 = time.perf_counter()
+    for attack in ("rst", "descent"):  # default budgets, no --window
+        code, out, _ = run(capsys, "attack", attack, *largest)
+        assert code == 0 and json.loads(out)["success"] is False
+    assert time.perf_counter() - t0 < 5.0  # about 0.3 s on a 2-CPU Xeon
+    for p, q in ((cap + 1, 0), (0, cap + 1)):
+        for attack in ("rst", "descent"):
+            code, out, err = run(capsys, "attack", attack, *with_target(p, q))
+            assert (code, out) == (2, "")
+            assert err == f"error: target stable exponents exceed {cap}\n"
+
+
+def test_grammar_member_word_capped(capsys, tmp_path, params_file):
+    """CYK on the longest word accepted runs in bounded time."""
+    cap = serialize.MAX_MEMBER_WORD
+    orbit, closure = tmp_path / "g.json", tmp_path / "c.json"
+    assert run(capsys, "grammar", "orbit", "--params", params_file, "--word",
+               '["x1"]', "--out", str(orbit))[0] == 0
+    assert run(capsys, "grammar", "closure", "--grammar", str(orbit),
+               "--out", str(closure))[0] == 0
+    t0 = time.perf_counter()
+    # the slowest word shape measured for this closure grammar
+    code, out, _ = run(capsys, "grammar", "member", "--grammar", str(closure),
+                       "--word", json.dumps(["x1"] * cap))
+    assert (code, out) == (0, "true\n")
+    assert time.perf_counter() - t0 < 5.0  # about 0.2 s on a 2-CPU Xeon
+    code, out, err = run(capsys, "grammar", "member", "--grammar",
+                         str(closure), "--word", json.dumps(["x1"] * (cap + 1)))
+    assert (code, out) == (2, "")
+    assert err == f"error: word has more than {cap} tokens\n"
