@@ -2,7 +2,7 @@
 
 An orbit grammar describes all conjugates t^-k w t^k of a word; passing to
 (L u L^-1)* describes the subgroup those conjugates generate, which in this
-family is not finitely generated.  Sampling and CYK membership make the
+family is not finitely generated.  Sampling and Earley membership make the
 subsets usable as protocol ingredients.
 """
 

@@ -375,8 +375,7 @@ def _membership_window(b: GroupElement, window: Optional[int]) -> int:
     return window if window is not None else b.p + b.q + 8
 
 
-def _certifier(instance: AttackInstance, window: Optional[int],
-               verify_trials: int):
+def _certifier(instance: AttackInstance, window: Optional[int]):
     """The break test: ``certified(a, b)``.
 
     It holds when b is a window-lattice member and the pair (a, b), used as
@@ -389,14 +388,14 @@ def _certifier(instance: AttackInstance, window: Optional[int],
                                  _membership_window(b_cand, window))
         return verdict.is_member and verify_break(
             pub, instance.target, instance.target,
-            a_cand, b_cand, a_cand, b_cand, trials=verify_trials,
+            a_cand, b_cand, a_cand, b_cand,
         )
 
     return certified
 
 
 def rst_greedy(instance: AttackInstance, max_iter: int = 200,
-               window: Optional[int] = None, verify_trials: int = 32,
+               window: Optional[int] = None,
                clock: Callable[[], float] = time.perf_counter) -> AttackResult:
     """Greedy one-generator-at-a-time attack on a generator-mode instance.
 
@@ -421,7 +420,7 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
     pub = instance.pub
     group = pub.group
     gen_b = instance.gen_b
-    certified = _certifier(instance, window, verify_trials)
+    certified = _certifier(instance, window)
 
     def distance(b_cand: GroupElement) -> int:
         return subset_distance(group, b_cand, gen_b,
@@ -461,7 +460,7 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
 
 def derivation_descent(instance: AttackInstance, beam: int = 8,
                        max_nodes: int = 2048, max_len: int = 48,
-                       window: Optional[int] = None, verify_trials: int = 32,
+                       window: Optional[int] = None,
                        clock: Callable[[], float] = time.perf_counter
                        ) -> AttackResult:
     """Beam search over partial leftmost derivations of the left grammar.
@@ -477,7 +476,7 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     pub = instance.pub
     grammar = pub.spec_a.grammar
     group = pub.group
-    certified = _certifier(instance, window, verify_trials)
+    certified = _certifier(instance, window)
     w_inv = pub.w.inverse()
     t0 = clock()
 

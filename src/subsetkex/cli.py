@@ -490,6 +490,13 @@ def _default_grid() -> tuple:
     )
 
 
+_GRID_REQUIRED = frozenset({"grid_id", "rows", "u", "v", "w"})
+# optional integer fields of a grid entry; GridPoint holds their defaults
+_GRID_COUNTS = ("max_length", "depth_cap", "max_iter", "beam", "max_nodes")
+_GRID_KNOWN = _GRID_REQUIRED | set(_GRID_COUNTS) | {
+    "range", "gens_window", "window"}
+
+
 def _decode_grid(obj) -> tuple:
     from . import attacks
 
@@ -499,32 +506,36 @@ def _decode_grid(obj) -> tuple:
     for entry in obj:
         if not isinstance(entry, dict):
             raise SchemaError("grid entries must be objects")
-        required = {"grid_id", "rows", "u", "v", "w"}
-        if not required <= set(entry):
-            raise SchemaError(f"grid entry needs the keys {sorted(required)}")
+        if not _GRID_REQUIRED <= set(entry):
+            raise SchemaError(
+                f"grid entry needs the keys {sorted(_GRID_REQUIRED)}")
+        unknown = set(entry) - _GRID_KNOWN
+        if unknown:
+            raise SchemaError(f"unknown grid entry keys {sorted(unknown)}")
+        grid_id = entry["grid_id"]
+        if not isinstance(grid_id, str) or any(c in grid_id for c in ",\r\n"):
+            raise SchemaError(
+                "grid_id must be a string without commas or line breaks")
+        rows = entry["rows"]
         group = serialize.decode_group(
-            {"m": len(entry["rows"]), "rows": entry["rows"]})
-        w_obj = entry["w"]
-        serialize._require_keys(w_obj, ("p", "v", "q"), "grid w")
-        window = entry.get("window")
+            {"m": len(rows) if isinstance(rows, list) else 0, "rows": rows})
+        w = serialize.decode_element(group, entry["w"])
+        given = {key: serialize._as_int(entry[key], key)
+                 for key in _GRID_COUNTS if key in entry}
+        if "gens_window" in entry:
+            given["gens_window"] = serialize.decode_window(
+                entry["gens_window"], "gens_window")
+        if entry.get("window") is not None:  # null: from each candidate
+            given["window"] = serialize.decode_window(entry["window"], "window")
+        if "range" in entry:
+            given["krange"] = _decode_range(entry["range"])
         points.append(attacks.GridPoint(
-            grid_id=str(entry["grid_id"]),
+            grid_id=grid_id,
             rows=group.matrix.rows,
             u=serialize.decode_vector(entry["u"], group.m),
             v=serialize.decode_vector(entry["v"], group.m),
-            w=(serialize._as_int(w_obj["p"], "w.p"),
-               serialize.decode_vector(w_obj["v"], group.m),
-               serialize._as_int(w_obj["q"], "w.q")),
-            krange=entry.get("range", RANGE_INTEGERS),
-            max_length=entry.get("max_length", 20),
-            depth_cap=entry.get("depth_cap", 4),
-            max_iter=entry.get("max_iter", 64),
-            beam=entry.get("beam", 8),
-            max_nodes=entry.get("max_nodes", 512),
-            gens_window=serialize.decode_window(
-                entry.get("gens_window", 2), "gens_window"),
-            window=None if window is None else serialize.decode_window(
-                window, "window"),
+            w=(w.p, w.v, w.q),
+            **given,
         ))
     return tuple(points)
 
@@ -663,12 +674,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--depth-cap", type=int, default=6)
     _add_out(g)
     g.set_defaults(func=cmd_grammar_sample)
-    g = sp.add_parser("member", help="CYK language membership")
+    g = sp.add_parser("member", help="Earley language membership")
     g.add_argument("--grammar", required=True)
     g.add_argument("--word", required=True,
                    help="JSON word of at most "
-                        f"{serialize.MAX_MEMBER_WORD} tokens (CYK is cubic "
-                        "in the word length)")
+                        f"{serialize.MAX_MEMBER_WORD} tokens (cubic in the "
+                        "word length in the worst case)")
     _add_out(g)
     g.set_defaults(func=cmd_grammar_member)
 

@@ -7,7 +7,7 @@ finite, publishable descriptions the protocols exchange.  This module covers:
   * validated grammar construction (declared nonterminals, token terminals,
     nonempty language via the productivity fixpoint),
   * seeded sampling by leftmost derivation with a termination bias,
-  * exact membership by conversion to Chomsky normal form plus CYK,
+  * exact membership by Earley recognition on the grammar as written,
   * the closure constructions (formal inverse, union, star) that pass from a
     generating subset to the subgroup it generates,
   * the conjugate-orbit grammar family t^-k w t^k.
@@ -173,6 +173,19 @@ class CFGrammar:
         return table
 
     @cached_property
+    def _nullable(self) -> frozenset:
+        """The nonterminals that derive the empty word."""
+        null: set = set()
+        changed = True
+        while changed:
+            changed = False
+            for lhs, rhs in self.rules:
+                if lhs not in null and all(s in null for s in rhs):
+                    null.add(lhs)
+                    changed = True
+        return frozenset(null)
+
+    @cached_property
     def t_balanced(self) -> bool:
         """Certificate that every word of the language has t-exponent sum 0.
 
@@ -257,16 +270,14 @@ class SubsetSpec:
         return self.group.evaluate(sample_grammar(self.grammar, policy))
 
 
-def sample_grammar(grammar: CFGrammar, policy: SamplePolicy,
-                   rng: Optional[random.Random] = None) -> tuple:
+def sample_grammar(grammar: CFGrammar, policy: SamplePolicy) -> tuple:
     """One word of L(grammar) by a seeded leftmost derivation.
 
     Deterministic in (grammar, policy): the policy seed starts a fresh
-    generator unless an explicit one is threaded through.  Attempts that
-    exceed ``max_length`` tokens are abandoned and retried, up to a fixed
-    budget.
+    generator.  Attempts that exceed ``max_length`` tokens are abandoned and
+    retried, up to a fixed budget.
     """
-    rng = random.Random(policy.seed) if rng is None else rng
+    rng = random.Random(policy.seed)
     for _ in range(_SAMPLE_ATTEMPTS):
         word = _derive_once(grammar, policy, rng)
         if word is not None:
@@ -310,172 +321,64 @@ def _derive_once(grammar, policy, rng) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# membership: Chomsky normal form + CYK
-
-
-class _CNF:
-    __slots__ = ("start", "nullable_start", "term_map", "by_left")
-
-    def __init__(self, start, nullable_start, term_map, by_left):
-        self.start = start
-        self.nullable_start = nullable_start
-        self.term_map = term_map       # token -> frozenset of producers
-        self.by_left = by_left         # B -> tuple of (C, A) for A -> B C
-
-
-@lru_cache(maxsize=128)
-def _chomsky(grammar: CFGrammar) -> _CNF:
-    nt_set = set(grammar.nonterminals)
-    prod = grammar.productive
-    rules = [
-        (lhs, rhs)
-        for lhs, rhs in grammar.rules
-        if lhs in prod and all(s in prod or s not in nt_set for s in rhs)
-    ]
-    live = set(n for n in nt_set if n in prod)
-
-    counter = [0]
-
-    def fresh(tag: str) -> str:
-        while True:
-            name = f"_{tag}{counter[0]}"
-            counter[0] += 1
-            if name not in live:
-                live.add(name)
-                return name
-
-    start0 = fresh("S")
-    rules.append((start0, (grammar.start,)))
-
-    # TERM: hide terminals inside long rules behind wrapper nonterminals
-    wrappers: dict = {}
-    extra = []
-
-    def wrapped(tok: str) -> str:
-        if tok not in wrappers:
-            name = fresh("T")
-            wrappers[tok] = name
-            extra.append((name, (tok,)))
-        return wrappers[tok]
-
-    pass1 = []
-    for lhs, rhs in rules:
-        if len(rhs) >= 2:
-            rhs = tuple(s if s in live else wrapped(s) for s in rhs)
-        pass1.append((lhs, rhs))
-    pass1.extend(extra)
-
-    # BIN: binarise long right-hand sides
-    pass2 = []
-    for lhs, rhs in pass1:
-        while len(rhs) > 2:
-            head = fresh("B")
-            pass2.append((lhs, (rhs[0], head)))
-            lhs, rhs = head, rhs[1:]
-        pass2.append((lhs, rhs))
-
-    # DEL: eliminate epsilon rules (right-hand sides are short now)
-    nullable = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in pass2:
-            if lhs not in nullable and all(s in nullable for s in rhs):
-                nullable.add(lhs)
-                changed = True
-    pass3 = set()
-    for lhs, rhs in pass2:
-        if len(rhs) == 0:
-            continue
-        pass3.add((lhs, rhs))
-        if len(rhs) == 2:
-            x, y = rhs
-            if x in nullable:
-                pass3.add((lhs, (y,)))
-            if y in nullable:
-                pass3.add((lhs, (x,)))
-
-    # UNIT: fold chains of single-nonterminal rules
-    unit_next: dict = {n: set() for n in live}
-    for lhs, rhs in pass3:
-        if len(rhs) == 1 and rhs[0] in live:
-            unit_next[lhs].add(rhs[0])
-    closure: dict = {}
-    for n in live:
-        seen = {n}
-        queue = [n]
-        while queue:
-            cur = queue.pop()
-            for nxt in unit_next.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        closure[n] = seen
-
-    term_map: dict = {}
-    binary = set()
-    non_unit: dict = {n: [] for n in live}
-    for lhs, rhs in pass3:
-        if len(rhs) == 2 or (len(rhs) == 1 and rhs[0] not in live):
-            non_unit[lhs].append(rhs)
-    for a in live:
-        for b in closure[a]:
-            for rhs in non_unit.get(b, ()):
-                if len(rhs) == 1:
-                    term_map.setdefault(rhs[0], set()).add(a)
-                else:
-                    binary.add((a, rhs[0], rhs[1]))
-
-    # prune symbols unreachable from the fresh start
-    reachable = {start0}
-    changed = True
-    while changed:
-        changed = False
-        for a, b, c in binary:
-            if a in reachable and (b not in reachable or c not in reachable):
-                reachable.update((b, c))
-                changed = True
-    binary = {(a, b, c) for a, b, c in binary if a in reachable}
-    term_map = {
-        tok: frozenset(x for x in producers if x in reachable)
-        for tok, producers in term_map.items()
-    }
-    term_map = {tok: s for tok, s in term_map.items() if s}
-
-    by_left: dict = {}
-    for a, b, c in sorted(binary):
-        by_left.setdefault(b, []).append((c, a))
-    by_left = {k: tuple(v) for k, v in by_left.items()}
-
-    return _CNF(start0, start0 in nullable, term_map, by_left)
+# membership: Earley recognition
 
 
 def cfg_membership(word: Sequence[str], grammar: CFGrammar) -> bool:
-    """Exact language membership via CYK on the cached normal form."""
+    """Exact language membership by Earley recognition (Earley 1970).
+
+    An item (lhs, rhs, dot, origin) runs over the productive rules of the
+    grammar as written.  Set i holds the items that have matched
+    word[origin:i].  Items waiting on a terminal are kept apart from items
+    waiting on a nonterminal, so a nonterminal named like a token is never
+    scanned.  A nullable nonterminal is stepped over when it is predicted
+    (Aycock & Horspool 2002), so an empty completion never revisits its own
+    set.  The cost follows the grammar's ambiguity: cubic in the word
+    length in the worst case.
+    """
     word = tuple(word)
-    cnf = _chomsky(grammar)
-    if not word:
-        return cnf.nullable_start
-    n = len(word)
-    table = [[set() for _ in range(n + 1)] for _ in range(n)]
-    for i, tok in enumerate(word):
-        producers = cnf.term_map.get(tok)
-        if producers:
-            table[i][1] |= producers
-    by_left = cnf.by_left
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            cell = table[i][span]
-            for split in range(1, span):
-                left = table[i][split]
-                right = table[i + split][span - split]
-                if not left or not right:
+    rules_for = grammar._productive_rules_by_lhs
+    nullable = grammar._nullable
+    nts = grammar._nt_set
+    start = grammar.start
+    waiting: list = []  # per set: nonterminal -> items whose dot is before it
+    agenda = [(start, rhs, 0, 0) for rhs in rules_for[start]]
+    for i in range(len(word) + 1):
+        seen = set(agenda)
+        on_nt: dict = {}
+        on_tok: dict = {}
+        waiting.append(on_nt)
+        while agenda:
+            item = agenda.pop()
+            lhs, rhs, dot, origin = item
+            if dot == len(rhs):
+                if origin == i:
+                    continue  # lhs is nullable: its waiters were stepped over
+                advanced = [(lh, rh, d + 1, o)
+                            for lh, rh, d, o in waiting[origin].get(lhs, ())]
+            else:
+                sym = rhs[dot]
+                if sym not in nts:
+                    on_tok.setdefault(sym, []).append(item)
                     continue
-                for b in left:
-                    for c, a in by_left.get(b, ()):
-                        if c in right:
-                            cell.add(a)
-    return cnf.start in table[0][n]
+                advanced = []
+                if sym not in on_nt:
+                    on_nt[sym] = []
+                    advanced = [(sym, r, 0, i) for r in rules_for[sym]]
+                on_nt[sym].append(item)
+                if sym in nullable:
+                    advanced.append((lhs, rhs, dot + 1, origin))
+            for new in advanced:
+                if new not in seen:
+                    seen.add(new)
+                    agenda.append(new)
+        if i == len(word):
+            return any((start, rhs, len(rhs), 0) in seen
+                       for rhs in rules_for[start])
+        agenda = [(lh, rh, d + 1, o)
+                  for lh, rh, d, o in on_tok.get(word[i], ())]
+        if not agenda:
+            return False
 
 
 # ---------------------------------------------------------------------------

@@ -551,9 +551,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.p == 0 and self.q == 0 and not any(self.v)
 
-    def length(self) -> int:
-        return default_length(self)
-
     def to_word(self, cap: int = DEFAULT_WORD_CAP) -> tuple:
         """Unary token expansion: t^p, then x-tokens, then t^-1 repeated q times.
 

@@ -90,13 +90,13 @@ _CHECK_POLICY = SamplePolicy(max_length=24, depth_cap=4)
 
 
 def commutation_spot_check(spec_x: SubsetSpec, spec_y: SubsetSpec,
-                           trials: int = 32, seed: int = 0,
-                           policy: Optional[SamplePolicy] = None) -> None:
+                           trials: int = 32, seed: int = 0) -> None:
     """Sample cross pairs and require literal element equality of products."""
-    base = policy if policy is not None else _CHECK_POLICY
     for i in range(trials):
-        x = spec_x.sample_element(replace(base, seed=derive_seed(seed, "commute.x", i)))
-        y = spec_y.sample_element(replace(base, seed=derive_seed(seed, "commute.y", i)))
+        x = spec_x.sample_element(
+            replace(_CHECK_POLICY, seed=derive_seed(seed, "commute.x", i)))
+        y = spec_y.sample_element(
+            replace(_CHECK_POLICY, seed=derive_seed(seed, "commute.y", i)))
         if x * y != y * x:
             raise CommutationError(
                 f"sampled cross pair fails to commute (trial {i})"
@@ -129,8 +129,7 @@ def _closure_of_orbit(group: GroupParams, u: Iterable[int], krange: str) -> Subs
 
 def p1_setup(group: GroupParams, u: Iterable[int], v: Iterable[int],
              w: GroupElement, krange: str = "integers",
-             check_trials: int = 32, check_seed: int = 0,
-             check_policy: Optional[SamplePolicy] = None) -> PublicParams1:
+             check_trials: int = 32, check_seed: int = 0) -> PublicParams1:
     """Publish the subgroup closures of the conjugate orbits of u and v.
 
     Closure words have t-exponent sum 0, so both images lie in the abelian
@@ -139,12 +138,11 @@ def p1_setup(group: GroupParams, u: Iterable[int], v: Iterable[int],
     """
     pub = PublicParams1(group, w, _closure_of_orbit(group, u, krange),
                         _closure_of_orbit(group, v, krange))
-    p1_check(pub, trials=check_trials, seed=check_seed, policy=check_policy)
+    p1_check(pub, trials=check_trials, seed=check_seed)
     return pub
 
 
-def p1_check(pub: PublicParams1, trials: int = 32, seed: int = 0,
-             policy: Optional[SamplePolicy] = None) -> None:
+def p1_check(pub: PublicParams1, trials: int = 32, seed: int = 0) -> None:
     """Check that the published subsets commute.
 
     Two ``t_balanced`` grammars certify it outright; otherwise
@@ -152,7 +150,7 @@ def p1_check(pub: PublicParams1, trials: int = 32, seed: int = 0,
     """
     if not (pub.spec_a.grammar.t_balanced and pub.spec_b.grammar.t_balanced):
         commutation_spot_check(pub.spec_a, pub.spec_b, trials=trials,
-                               seed=seed, policy=policy)
+                               seed=seed)
 
 
 def p1_draw(pub: PublicParams1, policy: SamplePolicy,

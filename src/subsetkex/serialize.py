@@ -23,8 +23,9 @@ conjugates t^-k u t^k for |k| <= g) are integers in 0..MAX_WINDOW: the
 window basis has 2K+1 rows of about K log2|det M| bits, and a generator
 window multiplies every attack step by 2(2g+1) candidates.  The same cap
 bounds each stable exponent of an attack target, which sets the window of
-a candidate given no explicit one.  Words tested by CYK membership have at
-most MAX_MEMBER_WORD tokens: the parse is cubic in the word length.
+a candidate given no explicit one.  Words tested for grammar membership
+have at most MAX_MEMBER_WORD tokens: Earley recognition is cubic in the
+word length in the worst case.
 """
 
 from __future__ import annotations

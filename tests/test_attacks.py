@@ -287,10 +287,10 @@ def test_uncertified_pair_spot_checked_per_trial(monkeypatch):
     checks = []
     spot_check = protocols.commutation_spot_check
 
-    def spy(spec_x, spec_y, trials=32, seed=0, policy=None):
+    def spy(spec_x, spec_y, trials=32, seed=0):
         if trials:  # the shared setup defers its check to the trials
             checks.append((trials, seed))
-        spot_check(spec_x, spec_y, trials, seed, policy)
+        spot_check(spec_x, spec_y, trials, seed)
 
     monkeypatch.setattr(protocols, "commutation_spot_check", spy)
     point = GridPoint(grid_id="m2-upper", rows=((2, 1), (0, 3)), u=(1, 0),

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subsetkex import cli, protocols, serialize
+from subsetkex import attacks, cli, protocols, serialize
 from subsetkex.cli import main
 
 
@@ -299,6 +299,44 @@ def test_attack_windows_capped(capsys, tmp_path, params_file):
         for key in ("window", "gens_window"):
             grid.write_text(json.dumps([dict(entry, **{key: value})]))
             refused(("attack", "sweep", "--grid", str(grid)), key, value)
+
+
+def test_attack_grid_entries_checked(capsys, tmp_path):
+    """A grid entry is decoded like every other input, or refused."""
+    cap = serialize.MAX_STABLE_EXPONENT
+    grid = tmp_path / "grid.json"
+    entry = {"grid_id": "g", "rows": [[2]], "u": ["1"], "v": ["1"],
+             "w": {"p": cap, "v": ["1"], "q": cap}}
+    grid.write_text(json.dumps([entry]))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "attack", "sweep", "--grid", str(grid),
+                       "--trials", "1")
+    assert code == 0 and out.startswith("grid_id,")
+    assert time.perf_counter() - t0 < 15.0  # about 2.4 s on a 2-CPU Xeon
+    (point,) = cli._decode_grid([dict(entry, max_iter=5)])
+    assert (point.max_iter, point.beam) == (5, attacks.GridPoint.beam)
+    for key, value, message in (
+            ("w", {"p": cap + 1, "v": ["1"], "q": 0},
+             f"element stable exponents exceed {cap}"),
+            ("w", {"p": 0, "v": ["1"], "q": cap + 1},
+             f"element stable exponents exceed {cap}"),
+            ("max_length", "9", "max_length must be an integer"),
+            ("max_iter", "5", "max_iter must be an integer"),
+            ("depth_cap", True, "depth_cap must be an integer"),
+            ("max_iters", 5, "unknown grid entry keys ['max_iters']"),
+            ("rows", 2, "matrix field 'rows' must list exactly m rows"),
+            ("range", "reals", "unknown orbit range 'reals'"),
+            ("grid_id", "a,b", "grid_id must be a string without commas "
+                               "or line breaks"),
+            ("grid_id", "a\nb", "grid_id must be a string without commas "
+                                "or line breaks"),
+            ("grid_id", 7, "grid_id must be a string without commas "
+                           "or line breaks")):
+        grid.write_text(json.dumps([dict(entry, **{key: value})]))
+        code, out, err = run(capsys, "attack", "sweep", "--grid", str(grid),
+                             "--trials", "1")
+        assert (code, out) == (2, ""), (key, value)
+        assert err == f"error: {message}\n"
 
 
 def test_attack_target_exponents_capped(capsys, tmp_path, p1_instance):

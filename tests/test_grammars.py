@@ -1,4 +1,4 @@
-"""Grammar machinery: sampling, CYK membership, closures."""
+"""Grammar machinery: sampling, Earley membership, closures."""
 
 import random
 from dataclasses import replace
@@ -200,10 +200,36 @@ def test_cnf_mutants_rejected(bs2):
     assert mutants >= 100
 
 
+# grammars whose shapes the recognizer must handle: (nonterminals, rules)
+EDGE_GRAMMARS = [
+    # a nullable prefix before a terminal, through the unit cycle A -> B -> A
+    (("S", "A", "B"), (("S", ("A", "A", "x1")), ("A", ()), ("A", ("B",)),
+                       ("B", ("A",)))),
+    # a unit cycle through the start symbol
+    (("S", "A"), (("S", ("A",)), ("A", ("S",)), ("A", ("t^-1", "S", "t")),
+                  ("S", ("x1",)))),
+    # nonterminals named like tokens are never scanned as tokens
+    (("S", "x1", "t"), (("S", ("x1", "t")), ("S", ("t^-1",)),
+                        ("x1", ("x1^-1",)), ("x1", ()),
+                        ("t", ("t", "x1")), ("t", ("t^-1",)))),
+]
+
+
 def test_cyk_fuzz_against_enumeration():
-    # random small grammars: CYK must agree with brute-force enumeration
+    # random small grammars, then fixed edge cases: membership must agree
+    # with brute-force enumeration
     rng = random.Random(99)
     alphabet = ("x1", "x1^-1", "t", "t^-1")
+
+    def agrees(grammar, language):
+        for w in language:
+            assert cfg_membership(w, grammar), (grammar.rules, w)
+        for _ in range(60):
+            w = tuple(
+                alphabet[rng.randrange(4)] for _ in range(rng.randint(0, 6)))
+            assert cfg_membership(w, grammar) == (w in language), (
+                grammar.rules, w)
+
     nts = ("S", "A", "B")
     checked = 0
     while checked < 25:
@@ -223,13 +249,13 @@ def test_cyk_fuzz_against_enumeration():
             language = enumerate_language(grammar, 6, node_budget=60_000)
         except AssertionError:
             continue  # language too bushy to enumerate; skip this sample
-        for w in language:
-            assert cfg_membership(w, grammar), (rules, w)
-        for _ in range(60):
-            w = tuple(
-                alphabet[rng.randrange(4)] for _ in range(rng.randint(0, 6)))
-            assert cfg_membership(w, grammar) == (w in language), (rules, w)
+        agrees(grammar, language)
         checked += 1
+    for nts, rules in EDGE_GRAMMARS:
+        grammar = CFGrammar(nts, "S", rules)
+        language = enumerate_language(grammar, 6, node_budget=60_000)
+        assert language
+        agrees(grammar, language)
 
 
 # ---------------------------------------------------------------------------
