@@ -127,6 +127,10 @@ def _decode_range(krange) -> str:
 
 
 def cmd_params_gen(args) -> int:
+    if not 1 <= args.dim <= serialize.MAX_DIM:
+        raise SchemaError(f"--dim must be in 1..{serialize.MAX_DIM}")
+    if args.max_entry < 1:
+        raise SchemaError("--max-entry must be at least 1")
     rng = random.Random(derive_seed(args.seed, "params.gen"))
     matrix = _random_matrix(rng, args.dim, args.max_entry)
     _emit(args, serialize.encode_matrix(GroupParams(matrix)))
@@ -340,8 +344,6 @@ def cmd_kex_orbit_dh(args) -> int:
     master = args.seed if args.seed is not None else 0
     rng = random.Random(derive_seed(master, "orbit-dh"))
     x = _random_nonzero_vec(rng, group.m)
-    if args.max_exp < 0:
-        raise SchemaError("--max-exp must be nonnegative")
     draw = min(_SIM_EXP_RANGE, args.max_exp + 1)
     m_a = rng.randrange(draw)
     n_b = rng.randrange(draw)
@@ -522,6 +524,9 @@ def _decode_grid(obj) -> tuple:
         w = serialize.decode_element(group, entry["w"])
         given = {key: serialize._as_int(entry[key], key)
                  for key in _GRID_COUNTS if key in entry}
+        for key in ("max_iter", "max_nodes"):
+            if given.get(key, 0) < 0:
+                raise SchemaError(f"{key} must be nonnegative")
         if "gens_window" in entry:
             given["gens_window"] = serialize.decode_window(
                 entry["gens_window"], "gens_window")
@@ -588,6 +593,14 @@ _WINDOW_HELP = (f"membership lattice window (0..{serialize.MAX_WINDOW}; "
                 "default: from each candidate)")
 
 
+def _count(text: str) -> int:
+    """Argument type of the budgets and trial counts: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_out(p):
     p.add_argument("--out", help="write output to FILE instead of stdout")
 
@@ -603,8 +616,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser("params", help="group parameter tooling")
     sp = p_params.add_subparsers(dest="sub", required=True)
     g = sp.add_parser("gen", help="random matrix with nonzero determinant")
-    g.add_argument("--dim", type=int, default=2)
-    g.add_argument("--max-entry", type=int, default=3)
+    g.add_argument("--dim", type=int, default=2,
+                   help=f"matrix dimension (1..{serialize.MAX_DIM})")
+    g.add_argument("--max-entry", type=int, default=3,
+                   help="entries are drawn from -MAX_ENTRY..MAX_ENTRY (>= 1)")
     g.add_argument("--seed", type=int, default=0)
     _add_out(g)
     g.set_defaults(func=cmd_params_gen)
@@ -648,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = spk.add_parser("simulate")
     sim.add_argument("--params", required=True)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--max-exp", type=int, default=1 << 20)
+    sim.add_argument("--max-exp", type=_count, default=1 << 20)
     _add_out(sim)
     sim.set_defaults(func=cmd_kex_orbit_dh)
 
@@ -687,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = p_att.add_subparsers(dest="sub", required=True)
     a = sp.add_parser("rst", help="greedy generator-walk attack")
     a.add_argument("--instance", required=True)
-    a.add_argument("--max-iter", type=int, default=200)
+    a.add_argument("--max-iter", type=_count, default=200)
     a.add_argument("--window", type=int, default=None, help=_WINDOW_HELP)
     a.add_argument("--wall-clock", action="store_true")
     _add_out(a)
@@ -695,15 +710,15 @@ def build_parser() -> argparse.ArgumentParser:
     a = sp.add_parser("descent", help="derivation beam search attack")
     a.add_argument("--instance", required=True)
     a.add_argument("--beam", type=int, default=8)
-    a.add_argument("--max-nodes", type=int, default=2048)
-    a.add_argument("--max-len", type=int, default=48)
+    a.add_argument("--max-nodes", type=_count, default=2048)
+    a.add_argument("--max-len", type=_count, default=48)
     a.add_argument("--window", type=int, default=None, help=_WINDOW_HELP)
     a.add_argument("--wall-clock", action="store_true")
     _add_out(a)
     a.set_defaults(func=cmd_attack_descent)
     a = sp.add_parser("sweep", help="CSV sweep over a parameter grid")
     a.add_argument("--grid", help="grid JSON file (default: built-in grid)")
-    a.add_argument("--trials", type=int, default=5)
+    a.add_argument("--trials", type=_count, default=5)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--trials-json", help="also dump per-trial records to FILE")
     a.add_argument("--wall-clock", action="store_true")
@@ -713,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="randomized self-checks")
     sp = p_self.add_subparsers(dest="sub", required=True)
     s = sp.add_parser("oracle", help="oracle-equivalence suite")
-    s.add_argument("--trials", type=int, default=1000)
+    s.add_argument("--trials", type=_count, default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_selftest_oracle)
 

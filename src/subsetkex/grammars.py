@@ -5,7 +5,7 @@ evaluation map, sweeps out a subset of the group; these grammars are the
 finite, publishable descriptions the protocols exchange.  This module covers:
 
   * validated grammar construction (declared nonterminals, token terminals,
-    nonempty language via the productivity fixpoint),
+    nonempty language read from the shortest-yield table),
   * seeded sampling by leftmost derivation with a termination bias,
   * exact membership by Earley recognition on the grammar as written,
   * the closure constructions (formal inverse, union, star) that pass from a
@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .groups import (
@@ -62,6 +62,7 @@ RANGE_INTEGERS = "integers"
 _SAMPLE_ATTEMPTS = 64
 
 _T_BALANCE = {TOKEN_STABLE: 1, TOKEN_STABLE_INV: -1}
+_INF = float("inf")
 
 
 class GrammarError(ValueError):
@@ -72,19 +73,9 @@ class SampleBudgetError(RuntimeError):
     """Sampler exhausted its retry budget without a word within bounds."""
 
 
-def _productive(nonterminals, rules) -> frozenset:
-    nts = set(nonterminals)
-    prod: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in rules:
-            if lhs in prod:
-                continue
-            if all(s in prod or s not in nts for s in rhs):
-                prod.add(lhs)
-                changed = True
-    return frozenset(prod)
+def _t_sum(rhs, balance: dict) -> int:
+    """t-exponent sum of a rhs, each nonterminal counted at its ``balance``."""
+    return sum(balance[s] if s in balance else _T_BALANCE.get(s, 0) for s in rhs)
 
 
 @dataclass(frozen=True)
@@ -120,7 +111,7 @@ class CFGrammar:
                     )
             rules.append((lhs, rhs))
         object.__setattr__(self, "rules", tuple(rules))
-        if self.start not in _productive(nts, self.rules):
+        if self.start not in self.productive:
             raise GrammarError("start symbol is unproductive: language is empty")
 
     @cached_property
@@ -137,91 +128,109 @@ class CFGrammar:
         )
 
     @cached_property
-    def productive(self) -> frozenset:
-        return _productive(self.nonterminals, self.rules)
+    def _shortest(self) -> tuple:
+        """Shortest yields: (length, pick, balance) per productive nonterminal.
 
-    @cached_property
-    def _rules_by_lhs(self) -> dict:
-        table: dict = {n: [] for n in self.nonterminals}
-        for lhs, rhs in self.rules:
-            table[lhs].append(rhs)
-        return {k: tuple(v) for k, v in table.items()}
-
-    @cached_property
-    def _productive_rules_by_lhs(self) -> dict:
-        prod = self.productive
-        table = {}
-        for lhs, options in self._rules_by_lhs.items():
-            kept = tuple(
-                rhs
-                for rhs in options
-                if all(s in prod or s not in self._nt_set for s in rhs)
-            )
-            if kept:
-                table[lhs] = kept
-        return table
-
-    @cached_property
-    def _terminal_only_rules(self) -> dict:
-        table = {}
-        for lhs, options in self._productive_rules_by_lhs.items():
-            kept = tuple(
-                rhs for rhs in options if not any(s in self._nt_set for s in rhs)
-            )
-            if kept:
-                table[lhs] = kept
-        return table
-
-    @cached_property
-    def _nullable(self) -> frozenset:
-        """The nonterminals that derive the empty word."""
-        null: set = set()
+        A Bellman fixpoint over the rules in declaration order (Knuth 1977)
+        gives each nonterminal the minimum length of a terminal word it
+        derives, the first rule that achieves it, and the t-exponent sum of
+        that word (t counts +1, t^-1 counts -1).  A nonterminal with no entry
+        is unproductive.  A balance changes only with its length, and a
+        picked rule is picked again when any of its symbols gets shorter, so
+        at the fixpoint each balance is its picked rule's sum.
+        """
+        nts = self._nt_set
+        length: dict = {}
+        pick: dict = {}
+        balance: dict = {}
         changed = True
         while changed:
             changed = False
             for lhs, rhs in self.rules:
-                if lhs not in null and all(s in null for s in rhs):
-                    null.add(lhs)
+                total = 0
+                for s in rhs:
+                    total += length.get(s, _INF) if s in nts else 1
+                if total < length.get(lhs, _INF):
+                    length[lhs] = total
+                    pick[lhs] = rhs
+                    balance[lhs] = _t_sum(rhs, balance)
                     changed = True
-        return frozenset(null)
+        return length, pick, balance
+
+    @cached_property
+    def _shortest_nonempty(self) -> dict:
+        """Rule and forced position of each minimum nonempty yield.
+
+        A second Bellman fixpoint: one position of a rule yields a nonempty
+        word and every other symbol its shortest one.  A nonterminal that
+        derives no nonempty word has no entry.
+        """
+        length = self._shortest[0]
+        nts = self._nt_set
+        best: dict = {}
+        pick: dict = {}
+        changed = True
+        while changed:
+            changed = False
+            for lhs, rhs in self.rules:
+                parts = [length.get(s, _INF) if s in nts else 1 for s in rhs]
+                base = sum(parts)
+                if base == _INF:
+                    continue
+                for i, s in enumerate(rhs):
+                    carry = best.get(s, _INF) if s in nts else 1
+                    total = base - parts[i] + carry
+                    if total < best.get(lhs, _INF):
+                        best[lhs] = total
+                        pick[lhs] = (rhs, i)
+                        changed = True
+        return pick
+
+    @cached_property
+    def productive(self) -> frozenset:
+        return frozenset(self._shortest[0])
+
+    @cached_property
+    def _nullable(self) -> frozenset:
+        """The nonterminals that derive the empty word."""
+        return frozenset(n for n, k in self._shortest[0].items() if k == 0)
+
+    def _rules_where(self, keep) -> dict:
+        """The right-hand sides that ``keep`` accepts, by lhs, in rule order."""
+        table: dict = {}
+        for lhs, rhs in self.rules:
+            if keep(rhs):
+                table.setdefault(lhs, []).append(rhs)
+        return {k: tuple(v) for k, v in table.items()}
+
+    @cached_property
+    def _productive_rules_by_lhs(self) -> dict:
+        length = self._shortest[0]
+        return self._rules_where(lambda rhs: all(
+            s in length or s not in self._nt_set for s in rhs))
+
+    @cached_property
+    def _terminal_only_rules(self) -> dict:
+        return self._rules_where(lambda rhs: not any(
+            s in self._nt_set for s in rhs))
 
     @cached_property
     def t_balanced(self) -> bool:
         """Certificate that every word of the language has t-exponent sum 0.
 
-        A fixpoint over the productive rules (t counts +1, t^-1 counts -1)
-        gives each productive nonterminal the balance of its first evaluable
-        rule and refutes the certificate at any rule that disagrees.  Every
-        productive nonterminal has a rule over productive symbols, so each
-        pass evaluates at least one pending rule.
+        The start symbol's shortest word must have sum 0 and every productive
+        rule must agree with the shortest-word sums of its symbols.  Those
+        sums are then a consistent balance per productive nonterminal, and
+        the only one, since each derives some word; by induction every word
+        a nonterminal derives has its balance.  Unreachable nonterminals are
+        checked too, which keeps the certificate conservative.
         """
-        nts = self._nt_set
-        pending = []
-        for lhs, options in self._productive_rules_by_lhs.items():
-            for rhs in options:
-                total = 0
-                parts = []
-                for s in rhs:
-                    if s in nts:
-                        parts.append(s)
-                    else:
-                        total += _T_BALANCE.get(s, 0)
-                pending.append((lhs, total, parts))
-        balance: dict = {}
-        while pending:
-            waiting = []
-            for rule in pending:
-                lhs, total, parts = rule
-                for s in parts:
-                    if s not in balance:
-                        waiting.append(rule)
-                        break
-                    total += balance[s]
-                else:
-                    if balance.setdefault(lhs, total) != total:
-                        return False
-            pending = waiting
-        return balance[self.start] == 0
+        _, _, balance = self._shortest
+        return balance[self.start] == 0 and all(
+            _t_sum(rhs, balance) == balance[lhs]
+            for lhs, options in self._productive_rules_by_lhs.items()
+            for rhs in options
+        )
 
 
 @dataclass(frozen=True)
@@ -488,96 +497,35 @@ def orbit_spec(group: GroupParams, word: Sequence[str], krange: str) -> SubsetSp
 # shortest yields (used by the attack harness and generator extraction)
 
 
-@lru_cache(maxsize=128)
-def _min_yields(grammar: CFGrammar):
-    """Bellman fixpoints of minimum yield lengths per nonterminal.
-
-    Returns (len0, len1, pick0, pick1) where len0 is the minimum terminal
-    yield length (possibly 0), len1 the minimum yield length at least 1
-    (None when every yield is empty), and pick0/pick1 record the rule (and
-    for pick1 the position forced to be nonempty) that achieves each bound.
-    """
-    INF = float("inf")
-    nts = grammar._nt_set
-    len0 = {n: INF for n in nts}
-    pick0 = {}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in grammar.rules:
-            total = 0
-            for s in rhs:
-                total += len0[s] if s in nts else 1
-                if total == INF:
-                    break
-            if total < len0[lhs]:
-                len0[lhs] = total
-                pick0[lhs] = rhs
-                changed = True
-
-    len1 = {n: INF for n in nts}
-    pick1 = {}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in grammar.rules:
-            if not rhs:
-                continue
-            base = 0
-            ok = True
-            parts = []
-            for s in rhs:
-                c = len0[s] if s in nts else 1
-                parts.append(c)
-                base += c
-                if base == INF:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for i, s in enumerate(rhs):
-                carry = (len1[s] if s in nts else 1)
-                total = base - parts[i] + carry
-                if total < len1[lhs]:
-                    len1[lhs] = total
-                    pick1[lhs] = (rhs, i)
-                    changed = True
-    return len0, len1, pick0, pick1
-
-
-def _build_min_word(grammar: CFGrammar, nt: str, pick0: dict) -> tuple:
+def shortest_word(grammar: CFGrammar, nt: Optional[str] = None) -> tuple:
+    """A minimum-length terminal yield of ``nt`` (default: the start symbol)."""
+    nt = grammar.start if nt is None else nt
+    pick = grammar._shortest[1]
+    if nt not in pick:
+        raise GrammarError(f"nonterminal {nt!r} is unproductive")
     out = []
     stack = [nt]
     while stack:
         sym = stack.pop()
         if grammar.is_nonterminal(sym):
-            stack.extend(reversed(pick0[sym]))
+            stack.extend(reversed(pick[sym]))
         else:
             out.append(sym)
     return tuple(out)
 
 
-def shortest_word(grammar: CFGrammar, nt: Optional[str] = None) -> tuple:
-    """A minimum-length terminal yield of ``nt`` (default: the start symbol)."""
-    nt = grammar.start if nt is None else nt
-    len0, _, pick0, _ = _min_yields(grammar)
-    if len0[nt] == float("inf"):
-        raise GrammarError(f"nonterminal {nt!r} is unproductive")
-    return _build_min_word(grammar, nt, pick0)
-
-
 def shortest_nonempty_word(grammar: CFGrammar) -> Optional[tuple]:
     """A minimum-length nonempty word of the language, or None if {e} only."""
-    len0, len1, pick0, pick1 = _min_yields(grammar)
-    if len1[grammar.start] == float("inf"):
+    pick = grammar._shortest_nonempty
+    if grammar.start not in pick:
         return None
 
     def expand(sym: str, force_nonempty: bool) -> list:
         if not grammar.is_nonterminal(sym):
             return [sym]
         if not force_nonempty:
-            return list(_build_min_word(grammar, sym, pick0))
-        rhs, pos = pick1[sym]
+            return list(shortest_word(grammar, sym))
+        rhs, pos = pick[sym]
         out: list = []
         for i, s in enumerate(rhs):
             out.extend(expand(s, i == pos))

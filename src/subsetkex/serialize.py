@@ -25,7 +25,8 @@ window multiplies every attack step by 2(2g+1) candidates.  The same cap
 bounds each stable exponent of an attack target, which sets the window of
 a candidate given no explicit one.  Words tested for grammar membership
 have at most MAX_MEMBER_WORD tokens: Earley recognition is cubic in the
-word length in the worst case.
+word length in the worst case.  A group has dimension m of at most MAX_DIM:
+the lattice work of an attack grows steeply in m.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "MAX_STABLE_EXPONENT",
     "MAX_WINDOW",
     "MAX_MEMBER_WORD",
+    "MAX_DIM",
     "SchemaError",
     "dumps",
     "loads",
@@ -63,6 +65,7 @@ __all__ = [
 MAX_STABLE_EXPONENT = 1 << 16
 MAX_WINDOW = 64
 MAX_MEMBER_WORD = 128
+MAX_DIM = 24
 
 
 class SchemaError(ValueError):
@@ -116,6 +119,8 @@ def encode_matrix(group: GroupParams) -> dict:
 def decode_group(obj) -> GroupParams:
     _require_keys(obj, ("m", "rows"), "matrix")
     m = _as_int(obj["m"], "matrix field 'm'")
+    if m > MAX_DIM:
+        raise SchemaError(f"matrix dimension exceeds {MAX_DIM}")
     rows = obj["rows"]
     if not isinstance(rows, list) or len(rows) != m:
         raise SchemaError("matrix field 'rows' must list exactly m rows")

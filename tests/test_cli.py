@@ -385,3 +385,80 @@ def test_grammar_member_word_capped(capsys, tmp_path, params_file):
                          str(closure), "--word", json.dumps(["x1"] * (cap + 1)))
     assert (code, out) == (2, "")
     assert err == f"error: word has more than {cap} tokens\n"
+
+
+def test_dimension_capped(capsys, tmp_path):
+    """The largest dimension accepted runs the attacks in bounded time."""
+    cap = serialize.MAX_DIM
+    params, inst = tmp_path / "p.json", tmp_path / "i.json"
+    assert run(capsys, "params", "gen", "--dim", str(cap), "--seed", "1",
+               "--out", str(params))[0] == 0
+    assert run(capsys, "instance", "p1", "gen", "--params", str(params),
+               "--seed", "2", "--out", str(inst))[0] == 0
+    t0 = time.perf_counter()
+    for attack in ("rst", "descent"):  # default budgets, no --window
+        code, out, _ = run(capsys, "attack", attack, "--instance", str(inst))
+        assert code == 0 and "iterations" in json.loads(out)
+    assert time.perf_counter() - t0 < 15.0  # about 0.7 s on a 2-CPU Xeon
+
+    def refused(argv, message):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {message}\n", argv
+        assert time.perf_counter() - t0 < 1.0, argv
+
+    for dim in (0, -1, cap + 1):
+        refused(("params", "gen", "--dim", str(dim)),
+                f"--dim must be in 1..{cap}")
+    refused(("params", "gen", "--max-entry", "0"),
+            "--max-entry must be at least 1")
+    rows = [[int(i == j) for j in range(cap + 1)] for i in range(cap + 1)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"m": cap + 1, "rows": rows}))
+    refused(("instance", "p1", "gen", "--params", str(big)),
+            f"matrix dimension exceeds {cap}")
+    obj = json.loads(inst.read_text())
+    obj["params"]["group"] = {"m": cap + 1, "rows": rows}
+    inst.write_text(json.dumps(obj))
+    refused(("attack", "rst", "--instance", str(inst)),
+            f"matrix dimension exceeds {cap}")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"grid_id": "g", "rows": rows,
+                                 "u": ["1"] * (cap + 1), "v": ["1"] * (cap + 1),
+                                 "w": {"p": 0, "v": ["1"] * (cap + 1), "q": 0}}]))
+    refused(("attack", "sweep", "--grid", str(grid)),
+            f"matrix dimension exceeds {cap}")
+
+
+def test_negative_counts_refused(capsys, tmp_path, params_file, p1_instance):
+    """Budgets and trial counts below 0 are refused where they are read."""
+    entry = {"grid_id": "g", "rows": [[2]], "u": ["1"], "v": ["1"],
+             "w": {"p": 1, "v": ["1"], "q": 1}}
+    assert cli._decode_grid([dict(entry, max_iter=0, max_nodes=0)])
+    inst = str(p1_instance)
+    grids = {}
+    for key in ("max_iter", "max_nodes"):
+        grids[key] = tmp_path / f"{key}.json"
+        grids[key].write_text(json.dumps([dict(entry, **{key: -5})]))
+    for argv, message in (
+            (("attack", "rst", "--instance", inst, "--max-iter", "-7"),
+             "argument --max-iter: must be nonnegative, got -7"),
+            (("attack", "descent", "--instance", inst, "--max-nodes", "-1"),
+             "argument --max-nodes: must be nonnegative, got -1"),
+            (("attack", "descent", "--instance", inst, "--max-len", "-1"),
+             "argument --max-len: must be nonnegative, got -1"),
+            (("attack", "sweep", "--trials", "-1"),
+             "argument --trials: must be nonnegative, got -1"),
+            (("selftest", "oracle", "--trials", "-4"),
+             "argument --trials: must be nonnegative, got -4"),
+            (("kex", "orbit-dh", "simulate", "--params", params_file,
+              "--max-exp", "-1"),
+             "argument --max-exp: must be nonnegative, got -1"),
+            (("attack", "sweep", "--grid", str(grids["max_iter"])),
+             "max_iter must be nonnegative"),
+            (("attack", "sweep", "--grid", str(grids["max_nodes"])),
+             "max_nodes must be nonnegative")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"error: {message}\n"), (argv, err)

@@ -32,15 +32,20 @@ from subsetkex import (
 )
 
 
-def enumerate_language(grammar, max_len, node_budget=200_000):
+def enumerate_language(grammar, max_len, node_budget=200_000, start=None):
     """Independent membership oracle: BFS over sentential forms.
 
-    Returns the exact set of words of length <= max_len, so any membership
-    question within that bound is decided by lookup.
+    Returns the exact set of words of length <= max_len derived from
+    ``start`` (default: the start symbol), so any membership question
+    within that bound is decided by lookup.
     """
+    rules_for = {}
+    for lhs, rhs in grammar.rules:
+        rules_for.setdefault(lhs, []).append(rhs)
+    start = grammar.start if start is None else start
     words = set()
-    seen = {(grammar.start,)}
-    queue = [(grammar.start,)]
+    seen = {(start,)}
+    queue = [(start,)]
     nodes = 0
     while queue:
         form = queue.pop()
@@ -56,7 +61,7 @@ def enumerate_language(grammar, max_len, node_budget=200_000):
             1 for s in form if not grammar.is_nonterminal(s))
         if terminal_count > max_len:
             continue
-        for rhs in grammar._rules_by_lhs.get(form[idx], ()):
+        for rhs in rules_for.get(form[idx], ()):
             child = form[:idx] + rhs + form[idx + 1:]
             if len(child) <= max_len + 6 and child not in seen:
                 seen.add(child)
@@ -215,35 +220,44 @@ EDGE_GRAMMARS = [
 ]
 
 
+SMALL_ALPHABET = ("x1", "x1^-1", "t", "t^-1")
+
+
+def random_grammar(rng):
+    """A random grammar over S, A, B with start S, or None if it is invalid."""
+    nts = ("S", "A", "B")
+    rules = []
+    for _ in range(rng.randint(2, 6)):
+        lhs = nts[rng.randrange(3)]
+        rhs = tuple(
+            (nts + SMALL_ALPHABET)[rng.randrange(7)]
+            for _ in range(rng.randint(0, 3))
+        )
+        rules.append((lhs, rhs))
+    try:
+        return CFGrammar(nts, "S", tuple(rules))
+    except GrammarError:
+        return None
+
+
 def test_cyk_fuzz_against_enumeration():
     # random small grammars, then fixed edge cases: membership must agree
     # with brute-force enumeration
     rng = random.Random(99)
-    alphabet = ("x1", "x1^-1", "t", "t^-1")
 
     def agrees(grammar, language):
         for w in language:
             assert cfg_membership(w, grammar), (grammar.rules, w)
         for _ in range(60):
-            w = tuple(
-                alphabet[rng.randrange(4)] for _ in range(rng.randint(0, 6)))
+            w = tuple(SMALL_ALPHABET[rng.randrange(4)]
+                      for _ in range(rng.randint(0, 6)))
             assert cfg_membership(w, grammar) == (w in language), (
                 grammar.rules, w)
 
-    nts = ("S", "A", "B")
     checked = 0
     while checked < 25:
-        rules = []
-        for _ in range(rng.randint(2, 6)):
-            lhs = nts[rng.randrange(3)]
-            rhs = tuple(
-                (nts + alphabet)[rng.randrange(7)]
-                for _ in range(rng.randint(0, 3))
-            )
-            rules.append((lhs, rhs))
-        try:
-            grammar = CFGrammar(nts, "S", tuple(rules))
-        except GrammarError:
+        grammar = random_grammar(rng)
+        if grammar is None:
             continue
         try:
             language = enumerate_language(grammar, 6, node_budget=60_000)
@@ -256,6 +270,47 @@ def test_cyk_fuzz_against_enumeration():
         language = enumerate_language(grammar, 6, node_budget=60_000)
         assert language
         agrees(grammar, language)
+
+
+def test_yield_facts_against_enumeration():
+    # from every nonterminal: nullable iff the empty word is enumerated,
+    # productive iff some word is (when its shortest word is within the
+    # bound), and the shortest word is an enumerated word of least length
+    bound = 6
+
+    def check(grammar, languages):
+        for n, language in languages.items():
+            assert (n in grammar._nullable) == (() in language), (grammar, n)
+            if n not in grammar.productive:
+                assert not language, (grammar, n)
+                continue
+            word = shortest_word(grammar, n)
+            if len(word) > bound:
+                assert not language, (grammar, n)
+                continue
+            assert word in language, (grammar, n)
+            assert len(word) == min(map(len, language)), (grammar, n)
+
+    def languages(grammar):
+        return {n: enumerate_language(grammar, bound, node_budget=60_000,
+                                      start=n)
+                for n in grammar.nonterminals}
+
+    rng = random.Random(17)
+    checked = 0
+    while checked < 60:
+        grammar = random_grammar(rng)
+        if grammar is None:
+            continue
+        try:
+            found = languages(grammar)
+        except AssertionError:
+            continue  # language too bushy to enumerate; skip this sample
+        check(grammar, found)
+        checked += 1
+    for nts, rules in EDGE_GRAMMARS:
+        grammar = CFGrammar(nts, "S", rules)
+        check(grammar, languages(grammar))
 
 
 # ---------------------------------------------------------------------------
