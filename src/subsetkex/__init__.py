@@ -26,10 +26,10 @@ _EXPORTS = {
     ),
     "grammars": (
         "CFGrammar", "GrammarError", "RANGE_INTEGERS", "RANGE_NATURALS",
-        "SampleBudgetError", "SamplePolicy", "SubsetSpec", "cfg_invert",
-        "cfg_membership", "cfg_star", "cfg_union", "orbit_grammar",
-        "orbit_spec", "sample_grammar", "shortest_nonempty_word",
-        "shortest_word", "subgroup_closure",
+        "SampleBudgetError", "SamplePolicy", "SubsetSpec", "cfg_closure",
+        "cfg_invert", "cfg_membership", "cfg_star", "cfg_union",
+        "orbit_grammar", "orbit_spec", "sample_grammar",
+        "shortest_nonempty_word", "shortest_word", "subgroup_closure",
     ),
     "protocols": (
         "CommutationError", "KeyAgreementError", "Party2State",

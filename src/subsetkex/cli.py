@@ -19,6 +19,7 @@ invariant or key-agreement failure.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 import time
@@ -33,10 +34,8 @@ from .grammars import (
     SampleBudgetError,
     SamplePolicy,
     SubsetSpec,
-    cfg_invert,
+    cfg_closure,
     cfg_membership,
-    cfg_star,
-    cfg_union,
     orbit_grammar,
     sample_grammar,
 )
@@ -108,22 +107,93 @@ def _random_element(rng: random.Random, group: GroupParams):
     return group.element(rng.randint(0, 2), v, rng.randint(0, 2))
 
 
-def _draw_public(args, group: GroupParams, master: int, protocol: str):
-    """Seeded public data of a p1 or p2 instance: (vec, vec, w, policy).
-
-    The vectors are p1's u and v, or p2's u_alice and u_bob.
-    """
-    rng = random.Random(derive_seed(master, f"instance.{protocol}"))
-    first = _random_nonzero_vec(rng, group.m)
-    second = _random_nonzero_vec(rng, group.m)
-    w = _random_element(rng, group)
-    return first, second, w, _policy_from(args, master)
-
-
 def _decode_range(krange) -> str:
     if krange not in (RANGE_NATURALS, RANGE_INTEGERS):
         raise SchemaError(f"unknown orbit range {krange!r}")
     return krange
+
+
+# The public block of each protocol, in wire order.  A block is a dict keyed
+# by these names; p1's u, v and p2's u_alice, u_bob are the orbit generators.
+_PUBLIC_FIELDS = {
+    "p1": ("group", "u", "v", "w", "range", "policy"),
+    "p2": ("group", "w", "u_alice", "u_bob", "range", "policy"),
+}
+# field -> (encoder, decoder of (JSON value, group)); other fields are vectors.
+# The lambdas look serialize's functions up per call, so a wrapper installed
+# on the module (perfbench's tracer) sees these calls too.
+_FIELD_CODECS = {
+    "group": (lambda group: serialize.encode_matrix(group),
+              lambda obj, _: serialize.decode_group(obj)),
+    "w": (lambda w: serialize.encode_element(w),
+          lambda obj, group: serialize.decode_element(group, obj)),
+    "range": (lambda krange: krange, lambda obj, _: _decode_range(obj)),
+    "policy": (lambda policy: serialize.encode_policy(policy),
+               lambda obj, _: serialize.decode_policy(obj)),
+}
+_VECTOR_CODEC = (lambda v: serialize.encode_vector(v),
+                 lambda obj, group: serialize.decode_vector(obj, group.m))
+# the keys of each protocol's instance file
+_INSTANCE_KEYS = {
+    "p1": ("protocol", "params", "seed", "gens_window", "target", "secrets"),
+    "p2": ("protocol", "params", "seed"),
+}
+
+
+def _public_block(protocol: str, pub: dict) -> dict:
+    return {field: _FIELD_CODECS.get(field, _VECTOR_CODEC)[0](pub[field])
+            for field in _PUBLIC_FIELDS[protocol]}
+
+
+def _decode_public(protocol: str, obj) -> dict:
+    fields = _PUBLIC_FIELDS[protocol]
+    serialize._require_keys(obj, fields, f"{protocol} params")
+    pub = {}
+    for field in fields:  # "group" first: the others are read in it
+        decode = _FIELD_CODECS.get(field, _VECTOR_CODEC)[1]
+        pub[field] = decode(obj[field], pub.get("group"))
+    return pub
+
+
+def _draw_public(args, group: GroupParams, master: int, protocol: str) -> dict:
+    """Seeded public block of p1 or p2: vectors in wire order, then w."""
+    rng = random.Random(derive_seed(master, f"instance.{protocol}"))
+    vectors = [f for f in _PUBLIC_FIELDS[protocol] if f not in _FIELD_CODECS]
+    pub = {field: _random_nonzero_vec(rng, group.m) for field in vectors}
+    return dict(pub, group=group, w=_random_element(rng, group),
+                range=args.range, policy=_policy_from(args, master))
+
+
+def _read_instance(obj, protocol: str):
+    """Checked header of an instance file: (public block, seed, gens_window).
+
+    Only a p1 file has a ``gens_window``; it is None for p2.
+    """
+    serialize._require_keys(obj, _INSTANCE_KEYS[protocol],
+                            f"{protocol} instance")
+    if obj["protocol"] != protocol:
+        raise SchemaError(f"instance protocol must be {protocol!r}")
+    pub = _decode_public(protocol, obj["params"])
+    seed = serialize._as_int(obj["seed"], "instance seed")
+    gens_window = (serialize.decode_window(obj["gens_window"], "gens_window")
+                   if "gens_window" in obj else None)
+    return pub, seed, gens_window
+
+
+def _p1_round(pub: dict, master: int):
+    """p1 setup and one round seeded from ``master``.
+
+    Returns (setup, (seed_a, seed_b), (alice, msg_a, bob, msg_b)).
+    """
+    from . import protocols
+
+    setup = protocols.p1_setup(pub["group"], pub["u"], pub["v"], pub["w"],
+                               pub["range"],
+                               check_seed=derive_seed(master, "check"))
+    seeds = derive_seed(master, "alice"), derive_seed(master, "bob")
+    policy = pub["policy"]
+    return setup, seeds, protocols.p1_round(
+        setup, replace(policy, seed=seeds[0]), replace(policy, seed=seeds[1]))
 
 
 def cmd_params_gen(args) -> int:
@@ -137,67 +207,13 @@ def cmd_params_gen(args) -> int:
     return 0
 
 
-def _p1_public_block(group, u, v, w, krange, policy) -> dict:
-    return {
-        "group": serialize.encode_matrix(group),
-        "u": serialize.encode_vector(u),
-        "v": serialize.encode_vector(v),
-        "w": serialize.encode_element(w),
-        "range": krange,
-        "policy": serialize.encode_policy(policy),
-    }
-
-
-def _decode_p1_params(obj):
-    serialize._require_keys(
-        obj, ("group", "u", "v", "w", "range", "policy"), "p1 params")
-    group = serialize.decode_group(obj["group"])
-    u = serialize.decode_vector(obj["u"], group.m)
-    v = serialize.decode_vector(obj["v"], group.m)
-    w = serialize.decode_element(group, obj["w"])
-    krange = _decode_range(obj["range"])
-    policy = serialize.decode_policy(obj["policy"])
-    return group, u, v, w, krange, policy
-
-
-def _p2_public_block(group, w, u_alice, u_bob, krange, policy) -> dict:
-    return {
-        "group": serialize.encode_matrix(group),
-        "w": serialize.encode_element(w),
-        "u_alice": serialize.encode_vector(u_alice),
-        "u_bob": serialize.encode_vector(u_bob),
-        "range": krange,
-        "policy": serialize.encode_policy(policy),
-    }
-
-
-def _decode_p2_params(obj):
-    serialize._require_keys(
-        obj, ("group", "w", "u_alice", "u_bob", "range", "policy"),
-        "p2 params")
-    group = serialize.decode_group(obj["group"])
-    w = serialize.decode_element(group, obj["w"])
-    u_alice = serialize.decode_vector(obj["u_alice"], group.m)
-    u_bob = serialize.decode_vector(obj["u_bob"], group.m)
-    krange = _decode_range(obj["range"])
-    policy = serialize.decode_policy(obj["policy"])
-    return group, w, u_alice, u_bob, krange, policy
-
-
 def cmd_instance_p1(args) -> int:
-    from . import protocols
-
     gens_window = serialize.decode_window(args.gens_window, "gens_window")
-    group = _load_group(args)
-    u, v, w, policy = _draw_public(args, group, args.seed, "p1")
-    pub = protocols.p1_setup(group, u, v, w, args.range,
-                             check_seed=derive_seed(args.seed, "check"))
-    policy_a = replace(policy, seed=derive_seed(args.seed, "alice"))
-    policy_b = replace(policy, seed=derive_seed(args.seed, "bob"))
-    alice, msg_a, bob, _ = protocols.p1_round(pub, policy_a, policy_b)
+    pub = _draw_public(args, _load_group(args), args.seed, "p1")
+    _, _, (alice, msg_a, bob, _) = _p1_round(pub, args.seed)
     _emit(args, {
         "protocol": "p1",
-        "params": _p1_public_block(group, u, v, w, args.range, policy),
+        "params": _public_block("p1", pub),
         "seed": args.seed,
         "gens_window": gens_window,
         "target": serialize.encode_element(msg_a),
@@ -212,30 +228,10 @@ def cmd_instance_p1(args) -> int:
 
 
 def cmd_instance_p2(args) -> int:
-    group = _load_group(args)
-    u_alice, u_bob, w, policy = _draw_public(args, group, args.seed, "p2")
-    _emit(args, {
-        "protocol": "p2",
-        "params": _p2_public_block(group, w, u_alice, u_bob, args.range,
-                                   policy),
-        "seed": args.seed,
-    })
+    pub = _draw_public(args, _load_group(args), args.seed, "p2")
+    _emit(args, {"protocol": "p2", "params": _public_block("p2", pub),
+                 "seed": args.seed})
     return 0
-
-
-def _read_instance_p1(obj):
-    """Checked header of a p1 instance: (params tuple, seed, gens_window)."""
-    serialize._require_keys(
-        obj,
-        ("protocol", "params", "seed", "gens_window", "target", "secrets"),
-        "p1 instance",
-    )
-    if obj["protocol"] != "p1":
-        raise SchemaError("instance protocol must be 'p1'")
-    params = _decode_p1_params(obj["params"])
-    seed = serialize._as_int(obj["seed"], "instance seed")
-    gens_window = serialize.decode_window(obj["gens_window"], "gens_window")
-    return params, seed, gens_window
 
 
 def _decode_instance_p1(obj):
@@ -248,9 +244,10 @@ def _decode_instance_p1(obj):
     """
     from . import attacks
 
-    params, seed, gens_window = _read_instance_p1(obj)
-    group, u, v, w, krange, _ = params
-    public = attacks.p1_public(group, u, v, w, krange, gens_window)
+    pub, seed, gens_window = _read_instance(obj, "p1")
+    group = pub["group"]
+    public = attacks.p1_public(group, pub["u"], pub["v"], pub["w"],
+                               pub["range"], gens_window)
     target = serialize.decode_element(group, obj["target"])
     if max(target.p, target.q) > serialize.MAX_WINDOW:
         raise SchemaError(
@@ -262,78 +259,60 @@ def _decode_instance_p1(obj):
 # kex simulation
 
 
+def _kex_public(args, protocol: str):
+    """The public block and master seed from --instance or --params."""
+    if args.instance:
+        pub, seed, _ = _read_instance(_read_json(args.instance), protocol)
+        return pub, seed if args.seed is None else args.seed
+    if not args.params:
+        raise SchemaError("either --params or --instance is required")
+    master = args.seed if args.seed is not None else 0
+    return _draw_public(args, _load_group(args), master, protocol), master
+
+
+def _emit_transcript(args, protocol: str, params: dict, encode, messages,
+                     keys, seeds: dict) -> None:
+    _emit(args, {
+        "protocol": protocol,
+        "params": params,
+        "messages": [encode(msg) for msg in messages],
+        "keys": {"alice": encode(keys[0]), "bob": encode(keys[1])},
+        "seeds": seeds,
+    })
+
+
 def cmd_kex_p1(args) -> int:
     from . import protocols
 
-    if not args.instance and not args.params:
-        raise SchemaError("either --params or --instance is required")
-    if args.instance:
-        params, seed, _ = _read_instance_p1(_read_json(args.instance))
-        group, u, v, w, krange, policy = params
-        master = seed if args.seed is None else args.seed
-    else:
-        group = _load_group(args)
-        master = args.seed if args.seed is not None else 0
-        u, v, w, policy = _draw_public(args, group, master, "p1")
-        krange = args.range
-    pub = protocols.p1_setup(group, u, v, w, krange,
-                             check_seed=derive_seed(master, "check"))
-    seed_a = derive_seed(master, "alice")
-    seed_b = derive_seed(master, "bob")
-    alice, msg_a, bob, msg_b = protocols.p1_round(
-        pub, replace(policy, seed=seed_a), replace(policy, seed=seed_b))
-    key_a, key_b = protocols.p1_keys(pub, alice, msg_b, bob, msg_a)
-    _emit(args, {
-        "protocol": "p1",
-        "params": _p1_public_block(group, u, v, w, krange, policy),
-        "messages": [serialize.encode_element(msg_a),
-                     serialize.encode_element(msg_b)],
-        "keys": {"alice": serialize.encode_element(key_a),
-                 "bob": serialize.encode_element(key_b)},
-        "seeds": {"master": master, "alice": seed_a, "bob": seed_b},
-    })
+    pub, master = _kex_public(args, "p1")
+    setup, (seed_a, seed_b), round_ = _p1_round(pub, master)
+    alice, msg_a, bob, msg_b = round_
+    keys = protocols.p1_keys(setup, alice, msg_b, bob, msg_a)
+    _emit_transcript(args, "p1", _public_block("p1", pub),
+                     serialize.encode_element, (msg_a, msg_b), keys,
+                     {"master": master, "alice": seed_a, "bob": seed_b})
     return 0
 
 
 def cmd_kex_p2(args) -> int:
     from . import protocols
 
-    if not args.instance and not args.params:
-        raise SchemaError("either --params or --instance is required")
-    if args.instance:
-        obj = _read_json(args.instance)
-        serialize._require_keys(obj, ("protocol", "params", "seed"), "p2 instance")
-        if obj["protocol"] != "p2":
-            raise SchemaError("instance protocol must be 'p2'")
-        group, w, u_alice, u_bob, krange, policy = _decode_p2_params(
-            obj["params"])
-        seed = serialize._as_int(obj["seed"], "instance seed")
-        master = seed if args.seed is None else args.seed
-    else:
-        group = _load_group(args)
-        master = args.seed if args.seed is not None else 0
-        u_alice, u_bob, w, policy = _draw_public(args, group, master, "p2")
-        krange = args.range
-    pub = protocols.PublicParams2(group, w)
+    pub, master = _kex_public(args, "p2")
+    setup = protocols.PublicParams2(pub["group"], pub["w"])
     seed_a = derive_seed(master, "alice")
     seed_b = derive_seed(master, "bob")
     seed_x = derive_seed(master, "exchange")
-    alice = protocols.p2_party_setup(pub, u_alice,
+    policy, krange = pub["policy"], pub["range"]
+    alice = protocols.p2_party_setup(setup, pub["u_alice"],
                                      replace(policy, seed=seed_a), krange)
-    bob = protocols.p2_party_setup(pub, u_bob,
+    bob = protocols.p2_party_setup(setup, pub["u_bob"],
                                    replace(policy, seed=seed_b), krange)
     _, msgs, keys = protocols.p2_exchange_full(
-        pub, alice, bob, replace(policy, seed=seed_x))
-    _emit(args, {
-        "protocol": "p2",
-        "params": _p2_public_block(group, w, u_alice, u_bob, krange, policy),
-        "messages": [serialize.encode_element(msgs[0]),
-                     serialize.encode_element(msgs[1])],
-        "keys": {"alice": serialize.encode_element(keys[0]),
-                 "bob": serialize.encode_element(keys[1])},
-        "seeds": {"master": master, "alice": seed_a, "bob": seed_b,
-                  "exchange": seed_x},
-    })
+        setup, alice, bob, replace(policy, seed=seed_x))
+    _emit_transcript(args, "p2", _public_block("p2", pub),
+                     serialize.encode_element, msgs, keys,
+                     {"master": master, "alice": seed_a, "bob": seed_b,
+                      "exchange": seed_x})
     return 0
 
 
@@ -347,18 +326,20 @@ def cmd_kex_orbit_dh(args) -> int:
     draw = min(_SIM_EXP_RANGE, args.max_exp + 1)
     m_a = rng.randrange(draw)
     n_b = rng.randrange(draw)
+    # each entry of x M^k, k <= m_a + n_b, is at most max|x_i| N^k, N the
+    # largest column sum of |M|: refuse a draw whose key may not print
+    n = max(sum(map(abs, col)) for col in group.matrix.cols)
+    log_bound = math.log10(max(map(abs, x))) + (m_a + n_b) * math.log10(n)
+    limit = sys.get_int_max_str_digits()
+    if limit and log_bound >= limit:
+        raise SchemaError(f"orbit-dh key may exceed {limit} decimal digits")
     msg_a, msg_b, key = protocols.orbit_dh(group, x, m_a, n_b,
                                            max_exp=args.max_exp)
-    _emit(args, {
-        "protocol": "orbit-dh",
-        "params": {"group": serialize.encode_matrix(group),
-                   "x": serialize.encode_vector(x)},
-        "messages": [serialize.encode_vector(msg_a),
-                     serialize.encode_vector(msg_b)],
-        "keys": {"alice": serialize.encode_vector(key),
-                 "bob": serialize.encode_vector(key)},
-        "seeds": {"master": master},
-    })
+    _emit_transcript(args, "orbit-dh",
+                     {"group": serialize.encode_matrix(group),
+                      "x": serialize.encode_vector(x)},
+                     serialize.encode_vector, (msg_a, msg_b), (key, key),
+                     {"master": master})
     return 0
 
 
@@ -366,8 +347,12 @@ def cmd_kex_orbit_dh(args) -> int:
 # grammar tooling
 
 
-def _maybe_group(args):
-    return _load_group(args) if getattr(args, "params", None) else None
+def _read_grammar(args):
+    """The --grammar file, its terminals checked against --params if given."""
+    grammar = serialize.decode_grammar(_read_json(args.grammar))
+    if getattr(args, "params", None):
+        SubsetSpec(grammar, _load_group(args))  # checks the terminal alphabet
+    return grammar
 
 
 def cmd_grammar_orbit(args) -> int:
@@ -379,28 +364,18 @@ def cmd_grammar_orbit(args) -> int:
 
 
 def cmd_grammar_closure(args) -> int:
-    grammar = serialize.decode_grammar(_read_json(args.grammar))
-    group = _maybe_group(args)
-    if group is not None:
-        SubsetSpec(grammar, group)  # validates the terminal alphabet
-    closed = cfg_star(cfg_union(grammar, cfg_invert(grammar)))
-    _emit(args, serialize.encode_grammar(closed))
+    _emit(args, serialize.encode_grammar(cfg_closure(_read_grammar(args))))
     return 0
 
 
 def cmd_grammar_sample(args) -> int:
-    grammar = serialize.decode_grammar(_read_json(args.grammar))
-    group = _maybe_group(args)
-    if group is not None:
-        SubsetSpec(grammar, group)
-    policy = _policy_from(args, args.seed)
-    word = sample_grammar(grammar, policy)
+    word = sample_grammar(_read_grammar(args), _policy_from(args, args.seed))
     _emit(args, serialize.encode_word(word))
     return 0
 
 
 def cmd_grammar_member(args) -> int:
-    grammar = serialize.decode_grammar(_read_json(args.grammar))
+    grammar = _read_grammar(args)
     word = serialize.decode_word(serialize.loads(args.word))
     if len(word) > serialize.MAX_MEMBER_WORD:
         raise SchemaError(
@@ -493,8 +468,10 @@ def _default_grid() -> tuple:
 
 
 _GRID_REQUIRED = frozenset({"grid_id", "rows", "u", "v", "w"})
-# optional integer fields of a grid entry; GridPoint holds their defaults
-_GRID_COUNTS = ("max_length", "depth_cap", "max_iter", "beam", "max_nodes")
+# optional integer fields of a grid entry -> least value; GridPoint holds
+# their defaults
+_GRID_COUNTS = {"max_length": 1, "depth_cap": 1, "max_iter": 0, "beam": 1,
+                "max_nodes": 0}
 _GRID_KNOWN = _GRID_REQUIRED | set(_GRID_COUNTS) | {
     "range", "gens_window", "window"}
 
@@ -524,9 +501,10 @@ def _decode_grid(obj) -> tuple:
         w = serialize.decode_element(group, entry["w"])
         given = {key: serialize._as_int(entry[key], key)
                  for key in _GRID_COUNTS if key in entry}
-        for key in ("max_iter", "max_nodes"):
-            if given.get(key, 0) < 0:
-                raise SchemaError(f"{key} must be nonnegative")
+        for key, least in _GRID_COUNTS.items():
+            if given.get(key, least) < least:
+                raise SchemaError(f"{key} must be at least 1" if least else
+                                  f"{key} must be nonnegative")
         if "gens_window" in entry:
             given["gens_window"] = serialize.decode_window(
                 entry["gens_window"], "gens_window")

@@ -45,6 +45,7 @@ __all__ = [
     "cfg_invert",
     "cfg_union",
     "cfg_star",
+    "cfg_closure",
     "subgroup_closure",
     "orbit_grammar",
     "orbit_spec",
@@ -448,10 +449,14 @@ def cfg_star(grammar: CFGrammar) -> CFGrammar:
     return CFGrammar((start,) + grammar.nonterminals, start, rules)
 
 
-def subgroup_closure(spec: SubsetSpec) -> SubsetSpec:
+def cfg_closure(grammar: CFGrammar) -> CFGrammar:
     """Grammar for (L u L^-1)*: its image is the subgroup generated by L's."""
-    g = spec.grammar
-    return SubsetSpec(cfg_star(cfg_union(g, cfg_invert(g))), spec.group)
+    return cfg_star(cfg_union(grammar, cfg_invert(grammar)))
+
+
+def subgroup_closure(spec: SubsetSpec) -> SubsetSpec:
+    """The subgroup generated by the image of ``spec``, as a spec."""
+    return SubsetSpec(cfg_closure(spec.grammar), spec.group)
 
 
 def orbit_grammar(group: GroupParams, word: Sequence[str], krange: str) -> CFGrammar:

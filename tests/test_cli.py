@@ -1,6 +1,7 @@
 """CLI: subcommand behaviour, exit codes, byte-level determinism."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -78,6 +79,11 @@ def test_grammar_pipeline(capsys, tmp_path, params_file):
     code, _, _ = run(capsys, "grammar", "closure", "--grammar", str(gpath),
                      "--params", params_file, "--out", str(cpath))
     assert code == 0
+    # the closure the protocols publish for the orbit of u = (1, 0)
+    group = serialize.decode_group(json.loads(Path(params_file).read_text()))
+    published = protocols._closure_of_orbit(group, (1, 0), "naturals")
+    assert json.loads(cpath.read_text()) == serialize.encode_grammar(
+        published.grammar)
     code, out1, _ = run(capsys, "grammar", "sample", "--grammar", str(cpath),
                         "--seed", "6", "--max-len", "20")
     code2, out2, _ = run(capsys, "grammar", "sample", "--grammar", str(cpath),
@@ -237,21 +243,45 @@ def test_attack_negative_window_exit_code(capsys, p1_instance):
         assert err == "error: window must be nonnegative\n"
 
 
-def test_kex_p1_instance_header_checked(capsys, tmp_path, p1_instance):
+def test_kex_p1_instance_header_checked(capsys, tmp_path, params_file,
+                                       p1_instance):
+    """Both protocols' instance headers are read by one checked reader."""
     code, out, _ = run(capsys, "kex", "p1", "simulate",
                        "--instance", str(p1_instance))
     assert code == 0 and json.loads(out)["seeds"]["master"] == 5
-    for key, value, message in (
-            ("protocol", "p2", "instance protocol must be 'p1'"),
-            ("seed", "5", "instance seed must be an integer"),
-            ("seed", True, "instance seed must be an integer")):
-        obj = json.loads(p1_instance.read_text())
-        obj[key] = value
+    p2_instance = tmp_path / "p2.json"
+    assert run(capsys, "instance", "p2", "gen", "--params", params_file,
+               "--seed", "5", "--out", str(p2_instance))[0] == 0
+    p1_commands = (("kex", "p1", "simulate"), ("attack", "rst"))
+    p2_keys = "['group', 'policy', 'range', 'u_alice', 'u_bob', 'w']"
+    for path, commands, key, value, message in (
+            (p1_instance, p1_commands, "protocol", "p2",
+             "instance protocol must be 'p1'"),
+            (p1_instance, p1_commands, "seed", "5",
+             "instance seed must be an integer"),
+            (p1_instance, p1_commands, "seed", True,
+             "instance seed must be an integer"),
+            (p1_instance, p1_commands, "gens_window", 65,
+             "gens_window exceeds 64"),
+            (p2_instance, (("kex", "p2", "simulate"),), "protocol", "p1",
+             "instance protocol must be 'p2'"),
+            (p2_instance, (("kex", "p2", "simulate"),), "seed", "5",
+             "instance seed must be an integer"),
+            (p2_instance, (("kex", "p2", "simulate"),), "seed", True,
+             "instance seed must be an integer"),
+            (p2_instance, (("kex", "p2", "simulate"),), "u_bob", None,
+             f"p2 params must have exactly the keys {p2_keys}, got "
+             "['group', 'policy', 'range', 'u_alice', 'w']")):
+        obj = json.loads(path.read_text())
+        if value is None:
+            del obj["params"][key]
+        else:
+            obj[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
-        for argv in (("kex", "p1", "simulate"), ("attack", "rst")):
+        for argv in commands:
             code, out, err = run(capsys, *argv, "--instance", str(bad))
-            assert (code, out) == (2, "")
+            assert (code, out) == (2, ""), (argv, key, value)
             assert err == f"error: {message}\n"
 
 
@@ -435,12 +465,17 @@ def test_negative_counts_refused(capsys, tmp_path, params_file, p1_instance):
     """Budgets and trial counts below 0 are refused where they are read."""
     entry = {"grid_id": "g", "rows": [[2]], "u": ["1"], "v": ["1"],
              "w": {"p": 1, "v": ["1"], "q": 1}}
-    assert cli._decode_grid([dict(entry, max_iter=0, max_nodes=0)])
+    assert cli._decode_grid([dict(entry, max_iter=0, max_nodes=0, beam=1,
+                                  max_length=1, depth_cap=1)])
     inst = str(p1_instance)
     grids = {}
-    for key in ("max_iter", "max_nodes"):
+    for key, value in (("max_iter", -5), ("max_nodes", -5), ("beam", 0),
+                       ("max_length", 0), ("depth_cap", -1)):
+        with pytest.raises(serialize.SchemaError):
+            cli._decode_grid([dict(entry, **{key: value})])
         grids[key] = tmp_path / f"{key}.json"
-        grids[key].write_text(json.dumps([dict(entry, **{key: -5})]))
+        # a good first entry: the bad one is refused before any entry runs
+        grids[key].write_text(json.dumps([entry, dict(entry, **{key: value})]))
     for argv, message in (
             (("attack", "rst", "--instance", inst, "--max-iter", "-7"),
              "argument --max-iter: must be nonnegative, got -7"),
@@ -458,7 +493,39 @@ def test_negative_counts_refused(capsys, tmp_path, params_file, p1_instance):
             (("attack", "sweep", "--grid", str(grids["max_iter"])),
              "max_iter must be nonnegative"),
             (("attack", "sweep", "--grid", str(grids["max_nodes"])),
-             "max_nodes must be nonnegative")):
+             "max_nodes must be nonnegative"),
+            (("attack", "sweep", "--grid", str(grids["beam"])),
+             "beam must be at least 1"),
+            (("attack", "sweep", "--grid", str(grids["max_length"])),
+             "max_length must be at least 1"),
+            (("attack", "sweep", "--grid", str(grids["depth_cap"])),
+             "depth_cap must be at least 1")):
+        t0 = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.endswith(f"error: {message}\n"), (argv, err)
+        assert time.perf_counter() - t0 < 1.0, argv
+
+
+def test_orbit_dh_key_bound_refused(capsys, tmp_path):
+    """A draw whose key may not print is refused before any power is taken."""
+    limit = sys.get_int_max_str_digits()
+    small = tmp_path / "small.json"
+    assert run(capsys, "params", "gen", "--dim", "2", "--max-entry", "1000",
+               "--seed", "1", "--out", str(small))[0] == 0
+    paths = [small]
+    for digits in (10, 40):  # upper bidiagonal, so the determinant is nonzero
+        rows = [[0] * 24 for _ in range(24)]
+        for i in range(24):
+            rows[i][i] = 10 ** (digits - 1) + 7 * i + 1
+            if i < 23:
+                rows[i][i + 1] = 10 ** (digits - 1) + 3 * i + 2
+        paths.append(tmp_path / f"d{digits}.json")
+        paths[-1].write_text(json.dumps({"m": 24, "rows": rows}))
+    for path in paths:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "kex", "orbit-dh", "simulate",
+                             "--params", str(path), "--seed", "1")
+        assert (code, out) == (2, ""), path
+        assert err == f"error: orbit-dh key may exceed {limit} decimal digits\n"
+        assert time.perf_counter() - t0 < 1.0, path
