@@ -15,8 +15,9 @@ Hermite-normal-form basis of the window lattice spanned by gen M^k for
 |k| <= K.  A "member" verdict is a certificate; "unknown" only means the
 window was too small to scale the candidate.  Success additionally requires
 the recovered pair to reproduce the target exactly and to commute with the
-opposite subset (certified in the abelian base hull, sampled outside it),
-so the harness cannot report a false break.
+opposite subset, certified exactly in the abelian base hull (a factor
+outside it, or a subset without the certificate, is not a break), so the
+harness cannot report a false break.
 
 Experiment sweeps are reproducible: per-trial seeds derive from one master
 seed and the timing column uses an injectable clock that defaults to a
@@ -26,7 +27,7 @@ constant, so repeated sweeps emit byte-identical CSV.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
@@ -45,7 +46,7 @@ from .groups import (
     Vec,
     default_length,
 )
-from .protocols import PublicParams1, p1_check, p1_draw, p1_setup
+from .protocols import PublicParams1, p1_draw, p1_setup
 from .seeding import derive_seed
 
 __all__ = [
@@ -343,31 +344,21 @@ class AttackResult:
 
 def verify_break(pub: PublicParams1, target1: GroupElement,
                  target2: GroupElement, a: GroupElement, b: GroupElement,
-                 c: GroupElement, d: GroupElement,
-                 trials: int = 32, seed: int = 0) -> bool:
+                 c: GroupElement, d: GroupElement) -> bool:
     """Sufficient condition for computing the shared key from two cracks.
 
     Requires a w b = target1 and c w d = target2 exactly, plus a commuting
     with the right subset and b with the left one; then a c w d b reproduces
-    the session key.  A factor with p == q and a ``t_balanced`` subset both
-    lie in the abelian base hull (the kernel of t -> 1), which certifies
-    that half; any other half is checked on ``trials`` samples.
+    the session key.  Commutation is certified exactly: a and b have
+    p == q and both subsets are ``t_balanced``, so all of them lie in the
+    abelian base hull (the kernel of t -> 1).  Anything else returns False.
     """
     if a * pub.w * b != target1:
         return False
     if (c, d, target2) != (a, b, target1) and c * pub.w * d != target2:
         return False
-    halves = [(x, spec, label) for x, spec, label in
-              ((a, pub.spec_b, "verify.b"), (b, pub.spec_a, "verify.a"))
-              if not (x.p == x.q and spec.grammar.t_balanced)]
-    policy = SamplePolicy(max_length=24, depth_cap=4)
-    for i in range(trials):
-        for x, spec, label in halves:
-            s = spec.sample_element(
-                replace(policy, seed=derive_seed(seed, label, i)))
-            if x * s != s * x:
-                return False
-    return True
+    return (a.p == a.q and b.p == b.q and pub.spec_a.grammar.t_balanced
+            and pub.spec_b.grammar.t_balanced)
 
 
 def _membership_window(b: GroupElement, window: Optional[int]) -> int:
@@ -546,10 +537,10 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
 class P1Public:
     """The public data shared by every p1 attack instance on one setup.
 
-    ``pub`` comes from ``p1_setup``, with the commutation check left to each
-    instance (``p1_attack_instance``); ``gen_b`` is the right orbit's
-    generator and ``gens_a`` the left generators t^-k u t^k for |k| <= the
-    generator window, both recovered from the published grammars.
+    ``pub`` comes from ``p1_setup``, which certifies that its subsets
+    commute; ``gen_b`` is the right orbit's generator and ``gens_a`` the
+    left generators t^-k u t^k for |k| <= the generator window, both
+    recovered from the published grammars.
     """
 
     pub: PublicParams1
@@ -560,21 +551,15 @@ class P1Public:
 def p1_public(group: GroupParams, u: Vec, v: Vec, w: GroupElement,
               krange: str, gens_window: int) -> P1Public:
     """Set up p1 on (u, v, w) and recover what the attacks use from it."""
-    pub = p1_setup(group, u, v, w, krange, check_trials=0)
+    pub = p1_setup(group, u, v, w, krange)
     base = group.base(extract_orbit_generator(pub.spec_a))
     gens = tuple(base.conj_t(k) for k in range(-gens_window, gens_window + 1))
     return P1Public(pub, extract_orbit_generator(pub.spec_b), gens)
 
 
-def p1_attack_instance(public: P1Public, target: GroupElement,
-                       seed: int) -> AttackInstance:
-    """The attack on ``target`` over shared public data.
-
-    The setup's commutation check runs here, once per instance: nothing
-    where both grammars are ``t_balanced``, else 8 sampled cross pairs
-    seeded from ``derive_seed(seed, "check")``.
-    """
-    p1_check(public.pub, trials=8, seed=derive_seed(seed, "check"))
+def p1_attack_instance(public: P1Public,
+                       target: GroupElement) -> AttackInstance:
+    """The attack on ``target`` over shared public data."""
     return AttackInstance(public.pub, target, public.gens_a, public.gen_b)
 
 
@@ -618,18 +603,16 @@ def build_p1_instance(point: GridPoint, trial_seed: int) -> AttackInstance:
 
     Only the trial's own work is done here: Alice's half of a p1 round
     (``p1_draw``, two draws seeded from ``derive_seed(trial_seed,
-    "alice")``), her message a1 w b1 as the target, and the sampled
-    commutation check of an uncertified pair.  Bob's half is not drawn; it
-    would not change a byte of the target.  The public data is the point's
-    ``public``, built once.
+    "alice")``) and her message a1 w b1 as the target.  Bob's half is not
+    drawn; it would not change a byte of the target.  The public data is
+    the point's ``public``, built once, whose setup certified commutation.
     """
     pub = point.public.pub
     policy = SamplePolicy(max_length=point.max_length,
                           depth_cap=point.depth_cap,
                           seed=derive_seed(trial_seed, "alice"))
     alice = p1_draw(pub, policy, 1)
-    return p1_attack_instance(point.public, alice.a * pub.w * alice.b,
-                              trial_seed)
+    return p1_attack_instance(point.public, alice.a * pub.w * alice.b)
 
 
 def _run_one(point: GridPoint, mode: str, trial_seed: int,

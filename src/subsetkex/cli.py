@@ -188,8 +188,7 @@ def _p1_round(pub: dict, master: int):
     from . import protocols
 
     setup = protocols.p1_setup(pub["group"], pub["u"], pub["v"], pub["w"],
-                               pub["range"],
-                               check_seed=derive_seed(master, "check"))
+                               pub["range"])
     seeds = derive_seed(master, "alice"), derive_seed(master, "bob")
     policy = pub["policy"]
     return setup, seeds, protocols.p1_round(
@@ -244,7 +243,7 @@ def _decode_instance_p1(obj):
     """
     from . import attacks
 
-    pub, seed, gens_window = _read_instance(obj, "p1")
+    pub, _, gens_window = _read_instance(obj, "p1")
     group = pub["group"]
     public = attacks.p1_public(group, pub["u"], pub["v"], pub["w"],
                                pub["range"], gens_window)
@@ -252,7 +251,7 @@ def _decode_instance_p1(obj):
     if max(target.p, target.q) > serialize.MAX_WINDOW:
         raise SchemaError(
             f"target stable exponents exceed {serialize.MAX_WINDOW}")
-    return attacks.p1_attack_instance(public, target, seed)
+    return attacks.p1_attack_instance(public, target)
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +511,13 @@ def _decode_grid(obj) -> tuple:
             given["window"] = serialize.decode_window(entry["window"], "window")
         if "range" in entry:
             given["krange"] = _decode_range(entry["range"])
+        u, v = (serialize.decode_vector(entry[key], group.m)
+                for key in ("u", "v"))
+        if not (any(u) and any(v)):
+            raise SchemaError("orbit word must be nonempty")
         points.append(attacks.GridPoint(
-            grid_id=grid_id,
-            rows=group.matrix.rows,
-            u=serialize.decode_vector(entry["u"], group.m),
-            v=serialize.decode_vector(entry["v"], group.m),
-            w=(w.p, w.v, w.q),
-            **given,
+            grid_id=grid_id, rows=group.matrix.rows, u=u, v=v,
+            w=(w.p, w.v, w.q), **given,
         ))
     return tuple(points)
 

@@ -14,9 +14,10 @@ Three desk-scale protocols, all exchanging exact normal forms:
 A full exchange is a pure function of public data and the parties' seeds:
 every random pick flows through labelled substreams of the policy seeds, so
 transcripts reproduce bit for bit.  Commutation of the published subsets is
-certified at setup from their grammars (sampled only where the certificate
-fails) and any key disagreement raises instead of returning, so a silent
-mismatch cannot escape.
+certified exactly at setup from their grammars (t-exponent sum 0, see
+``CFGrammar.t_balanced``), a subset without that certificate is refused,
+and any key disagreement raises instead of returning, so a silent mismatch
+cannot escape.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "KeyAgreementError",
     "commutation_spot_check",
     "p1_setup",
-    "p1_check",
     "p1_draw",
     "p1_round",
     "p1_keys",
@@ -52,7 +52,7 @@ DEFAULT_EXP_BOUND = 1 << 20
 
 
 class CommutationError(RuntimeError):
-    """A sampled cross pair failed to commute; the construction is broken."""
+    """A subset lacks the t-balance certificate, or a spot check failed."""
 
 
 class KeyAgreementError(RuntimeError):
@@ -91,7 +91,11 @@ _CHECK_POLICY = SamplePolicy(max_length=24, depth_cap=4)
 
 def commutation_spot_check(spec_x: SubsetSpec, spec_y: SubsetSpec,
                            trials: int = 32, seed: int = 0) -> None:
-    """Sample cross pairs and require literal element equality of products."""
+    """Sample cross pairs and require literal element equality of products.
+
+    A test cross-check, never called by the protocols: they certify
+    commutation exactly from the grammars instead.
+    """
     for i in range(trials):
         x = spec_x.sample_element(
             replace(_CHECK_POLICY, seed=derive_seed(seed, "commute.x", i)))
@@ -129,28 +133,19 @@ def _closure_of_orbit(group: GroupParams, u: Iterable[int], krange: str) -> Subs
 
 def p1_setup(group: GroupParams, u: Iterable[int], v: Iterable[int],
              w: GroupElement, krange: str = "integers",
-             check_trials: int = 32, check_seed: int = 0) -> PublicParams1:
+             check_seed: int = 0) -> PublicParams1:
     """Publish the subgroup closures of the conjugate orbits of u and v.
 
     Closure words have t-exponent sum 0, so both images lie in the abelian
-    base hull (the kernel of t -> 1) and commute.  ``commutation_spot_check``
-    runs only when a grammar lacks that certificate (``t_balanced``).
+    base hull (the kernel of t -> 1) and commute; a closure without that
+    certificate (``t_balanced``) raises ``CommutationError``.
+    ``check_seed`` is accepted and ignored: nothing is sampled.
     """
     pub = PublicParams1(group, w, _closure_of_orbit(group, u, krange),
                         _closure_of_orbit(group, v, krange))
-    p1_check(pub, trials=check_trials, seed=check_seed)
-    return pub
-
-
-def p1_check(pub: PublicParams1, trials: int = 32, seed: int = 0) -> None:
-    """Check that the published subsets commute.
-
-    Two ``t_balanced`` grammars certify it outright; otherwise
-    ``commutation_spot_check`` samples ``trials`` cross pairs.
-    """
     if not (pub.spec_a.grammar.t_balanced and pub.spec_b.grammar.t_balanced):
-        commutation_spot_check(pub.spec_a, pub.spec_b, trials=trials,
-                               seed=seed)
+        raise CommutationError("subsets lack the t-balance certificate")
+    return pub
 
 
 def p1_draw(pub: PublicParams1, policy: SamplePolicy,
@@ -199,22 +194,19 @@ def p2_party_setup(pub: PublicParams2, u: Iterable[int], policy: SamplePolicy,
                    check_trials: int = 32) -> Party2State:
     """Anchor a secret in the orbit closure of u and publish that closure.
 
-    A ``t_balanced`` closure lies in the abelian base hull, anchor included;
-    only without that certificate are ``check_trials`` samples checked.
+    A ``t_balanced`` closure lies in the abelian base hull, anchor included,
+    so it commutes with the anchor; a closure without that certificate
+    raises ``CommutationError``.  ``check_trials`` is accepted and ignored:
+    nothing is sampled.
     """
     u = tuple(int(e) for e in u)
     if not any(u):
         raise ValueError("orbit generator must be nonzero")
     spec = _closure_of_orbit(pub.group, u, krange)
+    if not spec.grammar.t_balanced:
+        raise CommutationError("subset lacks the t-balance certificate")
     anchor = spec.sample_element(
         replace(policy, seed=derive_seed(policy.seed, "p2.anchor")))
-    for i in range(0 if spec.grammar.t_balanced else check_trials):
-        s = spec.sample_element(
-            replace(policy, seed=derive_seed(policy.seed, "p2.check", i)))
-        if s * anchor != anchor * s:
-            raise CommutationError(
-                f"published sample fails to commute with anchor (trial {i})"
-            )
     return Party2State(anchor, spec)
 
 

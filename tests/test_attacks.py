@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from subsetkex import (
     AttackInstance,
     CFGrammar,
+    CommutationError,
     GridPoint,
     GroupParams,
     IntMatrix,
@@ -17,6 +18,7 @@ from subsetkex import (
     NON_MEMBER_IN_WINDOW,
     OracleElement,
     PublicParams1,
+    PublicParams2,
     SamplePolicy,
     SubsetSpec,
     UNKNOWN,
@@ -28,6 +30,7 @@ from subsetkex import (
     orbit_spec,
     p1_round,
     p1_setup,
+    p2_party_setup,
     rst_greedy,
     run_experiments,
     subgroup_closure,
@@ -281,24 +284,21 @@ def test_build_p1_instance_draws_two_secrets(monkeypatch):
                              derive_seed(alice, "p1.b1")]
 
 
-def test_uncertified_pair_spot_checked_per_trial(monkeypatch):
+def test_uncertified_pair_refused(monkeypatch):
     monkeypatch.setattr(protocols, "_closure_grammars", {})
     monkeypatch.setattr(CFGrammar, "t_balanced", False)
     checks = []
-    spot_check = protocols.commutation_spot_check
-
-    def spy(spec_x, spec_y, trials=32, seed=0):
-        if trials:  # the shared setup defers its check to the trials
-            checks.append((trials, seed))
-        spot_check(spec_x, spec_y, trials, seed)
-
-    monkeypatch.setattr(protocols, "commutation_spot_check", spy)
+    monkeypatch.setattr(protocols, "commutation_spot_check",
+                        lambda *args, **kwargs: checks.append(args))
     point = GridPoint(grid_id="m2-upper", rows=((2, 1), (0, 3)), u=(1, 0),
                       v=(0, 1), w=(1, (1, -1), 1), max_length=12)
-    seeds = (3, 4, 3)
-    for seed in seeds:
-        build_p1_instance(point, seed)
-    assert checks == [(8, derive_seed(seed, "check")) for seed in seeds]
+    for seed in (3, 4):
+        with pytest.raises(CommutationError):
+            build_p1_instance(point, seed)
+    pub = PublicParams2(point.group, point.group.identity())
+    with pytest.raises(CommutationError):
+        p2_party_setup(pub, (1, 0), SamplePolicy(seed=5))
+    assert checks == []  # refused outright, nothing sampled
 
 
 def test_extract_orbit_generator(bs2, upper2):
@@ -576,7 +576,8 @@ def test_verify_break_rejects_junk(upper2):
 
 
 def test_verify_break_wrong_commutator(upper2):
-    # equation holds but the left factor does not centralize the right subset
+    # equation holds but the left factor t is outside the base hull, so its
+    # commutation with the right subset is not certified
     w = upper2.identity()
     pub = p1_setup(upper2, (1, 0), (0, 1), w)
     t = upper2.stable_power(1)
@@ -587,7 +588,7 @@ def test_verify_break_wrong_commutator(upper2):
 
 def test_verify_break_samples_uncertified_half(upper2):
     # a lies in the base hull, but the right subset <t> is not t-balanced
-    # and does not commute with a: only the sampled half can reject it
+    # (and does not commute with a): without the certificate it is no break
     w = upper2.element(1, (1, -1), 1)
     left = subgroup_closure(orbit_spec(upper2, ("x1",), "integers"))
     right = subgroup_closure(orbit_spec(upper2, ("t",), "integers"))
@@ -596,7 +597,7 @@ def test_verify_break_samples_uncertified_half(upper2):
     a, b = upper2.base((1, 0)), upper2.base((0, 1))
     target = a * w * b
     assert not verify_break(pub, target, target, a, b, a, b)
-    # with the subsets swapped the right factor's half is the sampled one
+    # with the subsets swapped the right factor's half is the uncertified one
     swapped = PublicParams1(upper2, w, right, left)
     target = b * w * a
     assert not verify_break(swapped, target, target, b, a, b, a)

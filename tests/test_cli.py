@@ -225,6 +225,25 @@ def test_instance_terminal_bias_reaches_samplers(capsys, tmp_path, params_file,
     assert all(policy.terminal_bias == Fraction(1, 2) for policy in seen)
 
 
+def test_readme_commands_never_spot_check(capsys, params_file, monkeypatch):
+    """Commutation is certified, never sampled, on the README commands."""
+    commands = [("kex", protocol, "simulate", "--seed", "7", "--params",
+                 params_file) for protocol in ("p1", "p2")]
+    commands.append(("attack", "sweep", "--trials", "5", "--seed", "0"))
+    expect = [run(capsys, *argv) for argv in commands]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library path sampled commutation")
+
+    monkeypatch.setattr(protocols, "commutation_spot_check", refuse)
+    assert [run(capsys, *argv) for argv in commands] == expect
+    assert all(code == 0 and out for code, out, _ in expect)
+    monkeypatch.undo()
+    for point in cli._default_grid():  # the reference still passes
+        pub = point.public.pub
+        protocols.commutation_spot_check(pub.spec_a, pub.spec_b, trials=8)
+
+
 @pytest.fixture
 def p1_instance(tmp_path, capsys, params_file):
     path = tmp_path / "inst.json"
@@ -361,12 +380,15 @@ def test_attack_grid_entries_checked(capsys, tmp_path):
             ("grid_id", "a\nb", "grid_id must be a string without commas "
                                 "or line breaks"),
             ("grid_id", 7, "grid_id must be a string without commas "
-                           "or line breaks")):
+                           "or line breaks"),
+            ("u", ["0"], "orbit word must be nonempty"),
+            ("v", ["0"], "orbit word must be nonempty")):
         grid.write_text(json.dumps([dict(entry, **{key: value})]))
-        code, out, err = run(capsys, "attack", "sweep", "--grid", str(grid),
-                             "--trials", "1")
-        assert (code, out) == (2, ""), (key, value)
-        assert err == f"error: {message}\n"
+        for trials in ("1", "0"):  # refused while decoding, before any run
+            code, out, err = run(capsys, "attack", "sweep", "--grid",
+                                 str(grid), "--trials", trials)
+            assert (code, out) == (2, ""), (key, value, trials)
+            assert err == f"error: {message}\n"
 
 
 def test_attack_target_exponents_capped(capsys, tmp_path, p1_instance):

@@ -54,8 +54,8 @@ def test_p1_setup_cross_pairs_commute(upper2):
 
 
 def test_p1_setup_samples_uncertified_specs(upper2, monkeypatch):
-    # orbits of t x_i are not t-balanced and their closures do not commute,
-    # so p1_setup must fall back to the sampled check and reject them
+    # orbits of t x_i are not t-balanced (and their closures do not
+    # commute), so p1_setup refuses them
     def skewed_closure(group, u, krange):
         word = ("t",) + group.base(u).to_word()
         return subgroup_closure(orbit_spec(group, word, krange))
@@ -162,7 +162,7 @@ def test_p1_identity_secrets_give_w(upper2):
 
 def test_p2_anchor_commutes_with_fresh_samples(upper2):
     pub = PublicParams2(upper2, upper2.element(1, (1, -1), 1))
-    state = p2_party_setup(pub, (1, 0), pol(5), check_trials=50)
+    state = p2_party_setup(pub, (1, 0), pol(5))
     for seed in range(50):
         s = state.published_spec.sample_element(pol(3000 + seed))
         assert s * state.secret_anchor == state.secret_anchor * s
