@@ -28,8 +28,8 @@ _EXPORTS = {
         "CFGrammar", "GrammarError", "RANGE_INTEGERS", "RANGE_NATURALS",
         "SampleBudgetError", "SamplePolicy", "SubsetSpec", "cfg_closure",
         "cfg_invert", "cfg_membership", "cfg_star", "cfg_union",
-        "orbit_grammar", "orbit_spec", "sample_grammar",
-        "shortest_nonempty_word", "shortest_word", "subgroup_closure",
+        "orbit_grammar", "orbit_spec", "sample_grammar", "shortest_word",
+        "subgroup_closure",
     ),
     "protocols": (
         "CommutationError", "KeyAgreementError", "Party2State",
@@ -40,9 +40,8 @@ _EXPORTS = {
     "attacks": (
         "AttackInstance", "AttackResult", "GridPoint", "MEMBER",
         "MembershipVerdict", "NON_MEMBER_IN_WINDOW", "UNKNOWN",
-        "build_p1_instance", "derivation_descent", "extract_orbit_generator",
-        "lattice_member", "rst_greedy", "run_experiments", "subset_distance",
-        "verify_break",
+        "build_p1_instance", "derivation_descent", "lattice_member",
+        "rst_greedy", "run_experiments", "subset_distance", "verify_break",
     ),
     "seeding": ("derive_seed",),
 }

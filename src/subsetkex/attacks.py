@@ -32,12 +32,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
-from .grammars import (
-    SamplePolicy,
-    SubsetSpec,
-    shortest_nonempty_word,
-    shortest_word,
-)
+from .grammars import SamplePolicy, shortest_word
 from .groups import (
     GroupElement,
     GroupParams,
@@ -56,16 +51,13 @@ __all__ = [
     "MembershipVerdict",
     "AttackInstance",
     "AttackResult",
-    "P1Public",
     "GridPoint",
     "lattice_member",
     "subset_distance",
-    "extract_orbit_generator",
+    "orbit_generators",
     "rst_greedy",
     "derivation_descent",
     "verify_break",
-    "p1_public",
-    "p1_attack_instance",
     "build_p1_instance",
     "run_experiments",
     "zero_clock",
@@ -215,7 +207,6 @@ class MembershipVerdict:
     """Outcome of a window-lattice membership query."""
 
     value: str
-    window: int
 
     @property
     def is_member(self) -> bool:
@@ -262,12 +253,12 @@ def lattice_member(group: GroupParams, v, gen: Sequence[int],
     gen = tuple(int(e) for e in gen)
     d, z = _scaled_point(group, v, window)
     if d != 0:
-        return MembershipVerdict(NON_MEMBER_IN_WINDOW, window)
+        return MembershipVerdict(NON_MEMBER_IN_WINDOW)
     if z is None:
-        return MembershipVerdict(UNKNOWN, window)
+        return MembershipVerdict(UNKNOWN)
     lat = _window_lattice(group.matrix, gen, window)
     value = MEMBER if lat.contains(z) else NON_MEMBER_IN_WINDOW
-    return MembershipVerdict(value, window)
+    return MembershipVerdict(value)
 
 
 def subset_distance(group: GroupParams, v, gen: Sequence[int],
@@ -288,20 +279,10 @@ def subset_distance(group: GroupParams, v, gen: Sequence[int],
     return penalty + sum(abs(e).bit_length() for e in residual)
 
 
-def extract_orbit_generator(spec: SubsetSpec) -> Vec:
-    """Recover the orbit's base vector from a published grammar.
-
-    The shortest nonempty word of an orbit closure is the un-conjugated
-    generator word (or its inverse), which evaluates to a base element.
-    This uses public information only.
-    """
-    word = shortest_nonempty_word(spec.grammar)
-    if word is None:
-        raise ValueError("language contains no nonempty word")
-    g = spec.group.evaluate(word)
-    if g.p or g.q:
-        raise ValueError("shortest sample is not a base element")
-    return g.v
+def orbit_generators(group: GroupParams, u: Vec, window: int) -> tuple:
+    """The left generators t^-k u t^k for -window <= k <= window."""
+    base = group.base(u)
+    return tuple(base.conj_t(k) for k in range(-window, window + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +294,16 @@ class AttackInstance:
     """One cryptanalysis target: pub is the public data, target = a1 w b1.
 
     ``gens_a`` switches on generator mode (a finite approximation of the
-    left subset); when None the grammar of pub.spec_a is attacked directly.
-    ``gen_b`` is the right orbit's generator, which certifies candidate
-    right factors; when not given it is recovered from pub.spec_b.
+    left subset, such as ``orbit_generators`` of the published u); when
+    None the grammar of pub.spec_a is attacked directly.  ``gen_b`` is the
+    published right orbit generator v, which certifies candidate right
+    factors.
     """
 
     pub: PublicParams1
     target: GroupElement
-    gens_a: Optional[tuple] = None
-    gen_b: Optional[Vec] = None
-
-    def __post_init__(self):
-        if self.gen_b is None:
-            object.__setattr__(self, "gen_b",
-                               extract_orbit_generator(self.pub.spec_b))
+    gens_a: Optional[tuple]
+    gen_b: Vec
 
 
 @dataclass(frozen=True)
@@ -533,36 +510,6 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     return AttackResult(False, None, expanded, best, clock() - t0)
 
 
-@dataclass(frozen=True)
-class P1Public:
-    """The public data shared by every p1 attack instance on one setup.
-
-    ``pub`` comes from ``p1_setup``, which certifies that its subsets
-    commute; ``gen_b`` is the right orbit's generator and ``gens_a`` the
-    left generators t^-k u t^k for |k| <= the generator window, both
-    recovered from the published grammars.
-    """
-
-    pub: PublicParams1
-    gen_b: Vec
-    gens_a: tuple
-
-
-def p1_public(group: GroupParams, u: Vec, v: Vec, w: GroupElement,
-              krange: str, gens_window: int) -> P1Public:
-    """Set up p1 on (u, v, w) and recover what the attacks use from it."""
-    pub = p1_setup(group, u, v, w, krange)
-    base = group.base(extract_orbit_generator(pub.spec_a))
-    gens = tuple(base.conj_t(k) for k in range(-gens_window, gens_window + 1))
-    return P1Public(pub, extract_orbit_generator(pub.spec_b), gens)
-
-
-def p1_attack_instance(public: P1Public,
-                       target: GroupElement) -> AttackInstance:
-    """The attack on ``target`` over shared public data."""
-    return AttackInstance(public.pub, target, public.gens_a, public.gen_b)
-
-
 # ---------------------------------------------------------------------------
 # experiment runner
 
@@ -591,11 +538,16 @@ class GridPoint:
         return GroupParams(IntMatrix(self.rows))
 
     @cached_property
-    def public(self) -> P1Public:
-        """Built once per point and shared by all of its trials."""
+    def pub(self) -> PublicParams1:
+        """The p1 setup, built once per point and shared by its trials."""
         group = self.group
-        return p1_public(group, self.u, self.v, group.element(*self.w),
-                         self.krange, self.gens_window)
+        return p1_setup(group, self.u, self.v, group.element(*self.w),
+                        self.krange)
+
+    @cached_property
+    def gens_a(self) -> tuple:
+        """The left generators, built once per point."""
+        return orbit_generators(self.group, self.u, self.gens_window)
 
 
 def build_p1_instance(point: GridPoint, trial_seed: int) -> AttackInstance:
@@ -605,14 +557,16 @@ def build_p1_instance(point: GridPoint, trial_seed: int) -> AttackInstance:
     (``p1_draw``, two draws seeded from ``derive_seed(trial_seed,
     "alice")``) and her message a1 w b1 as the target.  Bob's half is not
     drawn; it would not change a byte of the target.  The public data is
-    the point's ``public``, built once, whose setup certified commutation.
+    the point's ``pub`` and ``gens_a``, built once, and its published v;
+    the setup certified commutation.
     """
-    pub = point.public.pub
+    pub = point.pub
     policy = SamplePolicy(max_length=point.max_length,
                           depth_cap=point.depth_cap,
                           seed=derive_seed(trial_seed, "alice"))
     alice = p1_draw(pub, policy, 1)
-    return p1_attack_instance(point.public, alice.a * pub.w * alice.b)
+    return AttackInstance(pub, alice.a * pub.w * alice.b, point.gens_a,
+                          point.v)
 
 
 def _run_one(point: GridPoint, mode: str, trial_seed: int,

@@ -114,10 +114,12 @@ def _decode_range(krange) -> str:
 
 
 # The public block of each protocol, in wire order.  A block is a dict keyed
-# by these names; p1's u, v and p2's u_alice, u_bob are the orbit generators.
+# by these names; p1's u, v and p2's u_alice, u_bob are the orbit generators,
+# and orbit-dh's x is the start of its orbit.
 _PUBLIC_FIELDS = {
     "p1": ("group", "u", "v", "w", "range", "policy"),
     "p2": ("group", "w", "u_alice", "u_bob", "range", "policy"),
+    "orbit-dh": ("group", "x"),
 }
 # field -> (encoder, decoder of (JSON value, group)); other fields are vectors.
 # The lambdas look serialize's functions up per call, so a wrapper installed
@@ -241,17 +243,18 @@ def _decode_instance_p1(obj):
     p + q + 8 from its own exponents, and the lattice work grows faster
     than linearly in it.
     """
-    from . import attacks
+    from . import attacks, protocols
 
     pub, _, gens_window = _read_instance(obj, "p1")
     group = pub["group"]
-    public = attacks.p1_public(group, pub["u"], pub["v"], pub["w"],
-                               pub["range"], gens_window)
+    setup = protocols.p1_setup(group, pub["u"], pub["v"], pub["w"],
+                               pub["range"])
+    gens_a = attacks.orbit_generators(group, pub["u"], gens_window)
     target = serialize.decode_element(group, obj["target"])
     if max(target.p, target.q) > serialize.MAX_WINDOW:
         raise SchemaError(
             f"target stable exponents exceed {serialize.MAX_WINDOW}")
-    return attacks.p1_attack_instance(public, target)
+    return attacks.AttackInstance(setup, target, gens_a, pub["v"])
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +338,7 @@ def cmd_kex_orbit_dh(args) -> int:
     msg_a, msg_b, key = protocols.orbit_dh(group, x, m_a, n_b,
                                            max_exp=args.max_exp)
     _emit_transcript(args, "orbit-dh",
-                     {"group": serialize.encode_matrix(group),
-                      "x": serialize.encode_vector(x)},
+                     _public_block("orbit-dh", {"group": group, "x": x}),
                      serialize.encode_vector, (msg_a, msg_b), (key, key),
                      {"master": master})
     return 0

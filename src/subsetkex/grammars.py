@@ -50,7 +50,6 @@ __all__ = [
     "orbit_grammar",
     "orbit_spec",
     "shortest_word",
-    "shortest_nonempty_word",
     "RANGE_NATURALS",
     "RANGE_INTEGERS",
 ]
@@ -157,35 +156,6 @@ class CFGrammar:
                     balance[lhs] = _t_sum(rhs, balance)
                     changed = True
         return length, pick, balance
-
-    @cached_property
-    def _shortest_nonempty(self) -> dict:
-        """Rule and forced position of each minimum nonempty yield.
-
-        A second Bellman fixpoint: one position of a rule yields a nonempty
-        word and every other symbol its shortest one.  A nonterminal that
-        derives no nonempty word has no entry.
-        """
-        length = self._shortest[0]
-        nts = self._nt_set
-        best: dict = {}
-        pick: dict = {}
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in self.rules:
-                parts = [length.get(s, _INF) if s in nts else 1 for s in rhs]
-                base = sum(parts)
-                if base == _INF:
-                    continue
-                for i, s in enumerate(rhs):
-                    carry = best.get(s, _INF) if s in nts else 1
-                    total = base - parts[i] + carry
-                    if total < best.get(lhs, _INF):
-                        best[lhs] = total
-                        pick[lhs] = (rhs, i)
-                        changed = True
-        return pick
 
     @cached_property
     def productive(self) -> frozenset:
@@ -499,7 +469,7 @@ def orbit_spec(group: GroupParams, word: Sequence[str], krange: str) -> SubsetSp
 
 
 # ---------------------------------------------------------------------------
-# shortest yields (used by the attack harness and generator extraction)
+# shortest yields (used by the attack harness)
 
 
 def shortest_word(grammar: CFGrammar, nt: Optional[str] = None) -> tuple:
@@ -518,22 +488,3 @@ def shortest_word(grammar: CFGrammar, nt: Optional[str] = None) -> tuple:
             out.append(sym)
     return tuple(out)
 
-
-def shortest_nonempty_word(grammar: CFGrammar) -> Optional[tuple]:
-    """A minimum-length nonempty word of the language, or None if {e} only."""
-    pick = grammar._shortest_nonempty
-    if grammar.start not in pick:
-        return None
-
-    def expand(sym: str, force_nonempty: bool) -> list:
-        if not grammar.is_nonterminal(sym):
-            return [sym]
-        if not force_nonempty:
-            return list(shortest_word(grammar, sym))
-        rhs, pos = pick[sym]
-        out: list = []
-        for i, s in enumerate(rhs):
-            out.extend(expand(s, i == pos))
-        return out
-
-    return tuple(expand(grammar.start, True))

@@ -199,9 +199,6 @@ def p2_party_setup(pub: PublicParams2, u: Iterable[int], policy: SamplePolicy,
     raises ``CommutationError``.  ``check_trials`` is accepted and ignored:
     nothing is sampled.
     """
-    u = tuple(int(e) for e in u)
-    if not any(u):
-        raise ValueError("orbit generator must be nonzero")
     spec = _closure_of_orbit(pub.group, u, krange)
     if not spec.grammar.t_balanced:
         raise CommutationError("subset lacks the t-balance certificate")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,9 @@ from subsetkex import (
     SubsetSpec,
     UNKNOWN,
     build_p1_instance,
+    cfg_membership,
     default_length,
     derivation_descent,
-    extract_orbit_generator,
     lattice_member,
     orbit_spec,
     p1_round,
@@ -229,7 +230,7 @@ def test_build_p1_instance_cold_or_warm(monkeypatch):
     warm = build_p1_instance(shared, 4)
     assert warm == cold == build_p1_instance(point(), 4)
     assert cold.target != cold.pub.w  # the secrets are not the identity
-    assert warm.pub is cold.pub is shared.public.pub  # built once per point
+    assert warm.pub is cold.pub is shared.pub  # built once per point
     assert warm.gens_a is cold.gens_a
     assert cold.pub.group is shared.group
     assert build_p1_instance(shared, 0) != cold  # the draws are per trial
@@ -247,10 +248,12 @@ def full_round_instance(point, seed):
                             seed=derive_seed(seed, party))
 
     _, msg_a, _, _ = p1_round(pub, policy("alice"), policy("bob"))
-    base = group.base(extract_orbit_generator(pub.spec_a))
-    gens = tuple(base.conj_t(k)
+    u_word = group.base(point.u).to_word()
+    gens = tuple(group.evaluate(("t^-1",) * k + u_word + ("t",) * k)
+                 if k >= 0 else
+                 group.evaluate(("t",) * -k + u_word + ("t^-1",) * -k)
                  for k in range(-point.gens_window, point.gens_window + 1))
-    return AttackInstance(pub, msg_a, gens)
+    return AttackInstance(pub, msg_a, gens, point.v)
 
 
 def test_build_p1_instance_is_alices_round_message():
@@ -301,11 +304,20 @@ def test_uncertified_pair_refused(monkeypatch):
     assert checks == []  # refused outright, nothing sampled
 
 
-def test_extract_orbit_generator(bs2, upper2):
-    spec = subgroup_closure(orbit_spec(upper2, ("x1",), "integers"))
-    assert extract_orbit_generator(spec) in ((1, 0), (-1, 0))
-    spec1 = subgroup_closure(orbit_spec(bs2, ("x1", "x1"), "naturals"))
-    assert extract_orbit_generator(spec1) in ((2,), (-2,))
+def test_published_generators_in_grammars():
+    # the attacks read u and v as published; each is a word of its grammar
+    rng = random.Random(12)
+    points = list(cli._default_grid())
+    points += [sweep_random_point(rng, i) for i in range(12)]
+    ranges = ("integers", "naturals")
+    for point, krange in itertools.product(points, ranges):
+        point = replace(point, krange=krange)
+        inst = build_p1_instance(point, derive_seed(31, point.grid_id))
+        group, pub = point.group, inst.pub
+        assert cfg_membership(group.base(point.u).to_word(),
+                              pub.spec_a.grammar), point
+        assert cfg_membership(group.base(inst.gen_b).to_word(),
+                              pub.spec_b.grammar), point
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +357,7 @@ def test_rst_iteration_budget_vs_secret_length(flat2):
         alice, msg_a, _, _ = p1_round(pub, policy,
                                       SamplePolicy(max_length=4, depth_cap=2,
                                                    seed=10_000 + seed))
-        inst = AttackInstance(pub, msg_a, (flat2.base((1, 0)),))
+        inst = AttackInstance(pub, msg_a, (flat2.base((1, 0)),), (0, 1))
         result = rst_greedy(inst, max_iter=16)
         assert result.success
         assert result.iterations <= default_length(alice.a) + 1
@@ -354,7 +366,7 @@ def test_rst_iteration_budget_vs_secret_length(flat2):
 def test_rst_trivial_target_iteration_zero(flat2):
     w = flat2.element(1, (1, 1), 0)
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
-    inst = AttackInstance(pub, w, (flat2.base((1, 0)),))
+    inst = AttackInstance(pub, w, (flat2.base((1, 0)),), (0, 1))
     result = rst_greedy(inst, max_iter=16)
     assert result.success and result.iterations == 0
     assert result.recovered[0].is_identity()
@@ -365,7 +377,7 @@ def test_rst_max_iter_zero_no_false_success(flat2):
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
     # target needs two generator steps, so the iteration-0 check must fail
     target = flat2.base((2, 0)) * w
-    inst = AttackInstance(pub, target, (flat2.base((1, 0)),))
+    inst = AttackInstance(pub, target, (flat2.base((1, 0)),), (0, 1))
     result = rst_greedy(inst, max_iter=0)
     assert not result.success
     assert result.recovered is None and result.iterations == 0
@@ -378,7 +390,7 @@ def test_rst_one_generator_factor_per_iteration(flat2):
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
     for s in (1, 2, 3):
         target = flat2.base((s, 0)) * w * flat2.base((0, 2))
-        inst = AttackInstance(pub, target, (flat2.base((1, 0)),))
+        inst = AttackInstance(pub, target, (flat2.base((1, 0)),), (0, 1))
         result = rst_greedy(inst, max_iter=10)
         assert result.success and result.iterations == s
         assert result.recovered[0] == flat2.base((s, 0))
@@ -392,7 +404,7 @@ def reference_rst_greedy(instance, max_iter, window=None):
     """
     pub = instance.pub
     group = pub.group
-    gen_b = extract_orbit_generator(pub.spec_b)
+    gen_b = instance.gen_b
 
     def win(b):
         return window if window is not None else b.p + b.q + 8
@@ -466,7 +478,7 @@ def test_rst_requires_generator_mode(flat2):
     w = flat2.element(1, (1, 1), 0)
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
     with pytest.raises(ValueError):
-        rst_greedy(AttackInstance(pub, w, None))
+        rst_greedy(AttackInstance(pub, w, None, (0, 1)))
 
 
 def test_rst_deterministic(flat2):
@@ -483,7 +495,7 @@ def test_rst_deterministic(flat2):
 def test_descent_trivial_target(flat2):
     w = flat2.element(1, (1, 1), 0)
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
-    inst = AttackInstance(pub, w, None)
+    inst = AttackInstance(pub, w, None, (0, 1))
     result = derivation_descent(inst, beam=4, max_nodes=64, max_len=8)
     assert result.success and result.iterations == 0
     assert result.recovered[0].is_identity()
@@ -510,7 +522,8 @@ def test_descent_depth_one_found_with_wide_beam(upper2):
     b1 = upper2.base((0, 2)).conj_t(1)
     target = a1 * w * b1
     result = derivation_descent(
-        AttackInstance(pub, target, None), beam=3, max_nodes=64, max_len=8)
+        AttackInstance(pub, target, None, (0, 1)), beam=3, max_nodes=64,
+        max_len=8)
     assert result.success
     a, b = result.recovered
     assert a * w * b == target

@@ -240,7 +240,7 @@ def test_readme_commands_never_spot_check(capsys, params_file, monkeypatch):
     assert all(code == 0 and out for code, out, _ in expect)
     monkeypatch.undo()
     for point in cli._default_grid():  # the reference still passes
-        pub = point.public.pub
+        pub = point.pub
         protocols.commutation_spot_check(pub.spec_a, pub.spec_b, trials=8)
 
 

@@ -25,7 +25,6 @@ from subsetkex import (
     orbit_grammar,
     orbit_spec,
     sample_grammar,
-    shortest_nonempty_word,
     shortest_word,
     subgroup_closure,
     word_inverse,
@@ -506,9 +505,9 @@ def test_shortest_words(bs2):
     assert shortest_word(g) == ("x1",)
     closed = subgroup_closure(orbit_spec(bs2, ("x1",), RANGE_INTEGERS))
     assert shortest_word(closed.grammar) == ()
-    assert shortest_nonempty_word(closed.grammar) == ("x1",)
+    assert cfg_membership(("x1",), closed.grammar)
     only_empty = CFGrammar(("S",), "S", (("S", ()),))
-    assert shortest_nonempty_word(only_empty) is None
+    assert shortest_word(only_empty) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -562,4 +561,6 @@ def test_finite_closure_rejects_empty_gens(bs2):
         finite_closure(bs2, [])
     # an empty generator word generates the trivial subgroup only
     trivial = finite_closure(bs2, [()])
-    assert shortest_nonempty_word(trivial.grammar) is None
+    assert all(
+        trivial.sample(SamplePolicy(max_length=8, depth_cap=2, seed=seed))
+        == () for seed in range(10))

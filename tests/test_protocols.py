@@ -169,9 +169,16 @@ def test_p2_anchor_commutes_with_fresh_samples(upper2):
 
 
 def test_p2_zero_generator_rejected(upper2):
+    # the orbit grammar refuses a zero generator, for p2 and for p1 alike
     pub = PublicParams2(upper2, upper2.identity())
-    with pytest.raises(ValueError):
+    message = "orbit word must be nonempty"
+    with pytest.raises(ValueError, match=message):
         p2_party_setup(pub, (0, 0), pol(1))
+    w = upper2.identity()
+    with pytest.raises(ValueError, match=message):
+        p1_setup(upper2, (0, 0), (0, 1), w)
+    with pytest.raises(ValueError, match=message):
+        p1_setup(upper2, (1, 0), (0, 0), w)
 
 
 def test_p2_setup_deterministic(upper2):
