@@ -314,6 +314,7 @@ def test_published_generators_in_grammars():
         point = replace(point, krange=krange)
         inst = build_p1_instance(point, derive_seed(31, point.grid_id))
         group, pub = point.group, inst.pub
+        assert inst.gen_b == point.v and inst.gens_a == point.gens_a, point
         assert cfg_membership(group.base(point.u).to_word(),
                               pub.spec_a.grammar), point
         assert cfg_membership(group.base(inst.gen_b).to_word(),

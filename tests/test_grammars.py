@@ -559,8 +559,7 @@ def test_finite_closure_samples_in_generated_subgroup(flat2):
 def test_finite_closure_rejects_empty_gens(bs2):
     with pytest.raises(GrammarError):
         finite_closure(bs2, [])
-    # an empty generator word generates the trivial subgroup only
+    # an empty generator word generates the trivial subgroup only: a
+    # grammar with no terminal symbols derives no nonempty word
     trivial = finite_closure(bs2, [()])
-    assert all(
-        trivial.sample(SamplePolicy(max_length=8, depth_cap=2, seed=seed))
-        == () for seed in range(10))
+    assert not trivial.grammar.terminals
