@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from subsetkex import GroupParams, IntMatrix
+from subsetkex import GridPoint, GroupParams, IntMatrix
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -59,6 +59,23 @@ def random_element(rng: random.Random, group: GroupParams,
 def random_word(rng: random.Random, group: GroupParams, length: int) -> tuple:
     toks = group.tokens()
     return tuple(toks[rng.randrange(len(toks))] for _ in range(length))
+
+
+def sweep_random_point(rng, i):
+    """A random grid point drawn as the benchmark's attack sweep draws it."""
+    dim = rng.randint(2, 3)
+
+    def vec():
+        while True:
+            v = tuple(rng.randint(-2, 2) for _ in range(dim))
+            if any(v):
+                return v
+
+    rows = random_matrix(rng, dim).rows
+    u, v = vec(), vec()
+    w = (rng.randint(0, 2), tuple(rng.randint(-3, 3) for _ in range(dim)),
+         rng.randint(0, 2))
+    return GridPoint(grid_id=f"random-{i}", rows=rows, u=u, v=v, w=w)
 
 
 @pytest.fixture

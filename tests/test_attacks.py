@@ -41,7 +41,7 @@ from subsetkex import (
 from subsetkex import cli, protocols
 from subsetkex.attacks import zero_clock
 from subsetkex.seeding import derive_seed
-from conftest import FOLD_MATRICES, random_matrix
+from conftest import FOLD_MATRICES, sweep_random_point
 
 
 def brute_force_window_member(group, target, gen, window, coeff_bound=4):
@@ -435,23 +435,6 @@ def reference_rst_greedy(instance, max_iter, window=None):
         d0, _, current = min(scored, key=lambda s: (s[0], s[1]))
         best = min(best, d0)
     return False, max_iter, best, None
-
-
-def sweep_random_point(rng, i):
-    """A random grid point drawn as the benchmark's attack sweep draws it."""
-    dim = rng.randint(2, 3)
-
-    def vec():
-        while True:
-            v = tuple(rng.randint(-2, 2) for _ in range(dim))
-            if any(v):
-                return v
-
-    rows = random_matrix(rng, dim).rows
-    u, v = vec(), vec()
-    w = (rng.randint(0, 2), tuple(rng.randint(-3, 3) for _ in range(dim)),
-         rng.randint(0, 2))
-    return GridPoint(grid_id=f"random-{i}", rows=rows, u=u, v=v, w=w)
 
 
 def test_rst_matches_three_product_reference():

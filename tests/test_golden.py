@@ -1,7 +1,9 @@
-"""Behaviour lock: README commands and demos must reproduce recorded bytes.
+"""Behaviour lock: README commands, demos and sweep trials reproduce bytes.
 
 The transcripts under ``tests/golden/`` lock the seeded output contract:
-any refactor that moves a byte of it fails here.  Regenerate them only on
+any refactor that moves a byte of it fails here.  ``sweep.txt`` locks the
+attack-sweep trial path below the CSV: each trial's record and the words
+the sampler draws from closure grammars.  Regenerate them only on
 purpose, from the repository root, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -10,6 +12,7 @@ purpose, from the repository root, with
 import contextlib
 import io
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -18,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from subsetkex.cli import main
+from subsetkex import SamplePolicy, run_experiments, sample_grammar
+from subsetkex.cli import _default_grid, main
+from conftest import sweep_random_point
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -66,6 +71,36 @@ def demo_transcript(name: str) -> str:
     return _TIMING.sub("(computed in …s)", proc.stdout)
 
 
+def sweep_transcript() -> str:
+    """Trial records of a seeded sweep, then closure-grammar samples.
+
+    The sweep covers the CLI's default grid and 12 random points drawn as
+    the benchmark draws them, 4 trials per point and mode; 3 trials fail.
+    The samples come from both published closure grammars of each default
+    point, with ``depth_cap`` 2 so that the terminal-bias draw runs.
+    """
+    rng = random.Random(7)
+    grid = _default_grid() + tuple(sweep_random_point(rng, i)
+                                   for i in range(12))
+    _, records = run_experiments(grid, 4, 7, collect=True)
+    lines = [",".join(str(r[key]) for key in (
+        "grid_id", "mode", "trial", "success", "iterations", "best_score"))
+        for r in records]
+    for point in _default_grid():
+        for side, spec in (("a", point.pub.spec_a), ("b", point.pub.spec_b)):
+            for seed in range(20):
+                policy = SamplePolicy(max_length=point.max_length,
+                                      depth_cap=2, seed=seed)
+                word = " ".join(sample_grammar(spec.grammar, policy))
+                lines.append(f"{point.grid_id},sample-{side},{seed},{word}")
+    return "\n".join(lines) + "\n"
+
+
+def test_sweep_trials_match_golden():
+    expected = (GOLDEN / "sweep.txt").read_text(encoding="utf-8")
+    assert sweep_transcript() == expected
+
+
 def test_cli_readme_commands_match_golden(tmp_path):
     expected = (GOLDEN / "cli.txt").read_text(encoding="utf-8")
     assert cli_transcript(tmp_path) == expected
@@ -84,6 +119,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "cli.txt").write_text(cli_transcript(Path(tmp)),
                                         encoding="utf-8")
+    (GOLDEN / "sweep.txt").write_text(sweep_transcript(), encoding="utf-8")
     for demo in DEMOS:
         (GOLDEN / f"{Path(demo).stem}.txt").write_text(
             demo_transcript(demo), encoding="utf-8")
