@@ -39,6 +39,7 @@ from .groups import (
     IntMatrix,
     OracleElement,
     Vec,
+    _vec_mat,
     default_length,
 )
 from .protocols import PublicParams1, p1_draw, p1_setup
@@ -188,11 +189,14 @@ def _window_lattice(matrix: IntMatrix, gen: Vec, window: int) -> _EchelonLattice
 
     Keyed on the matrix so that the cache pins no group (nor its power memo).
     """
+    if len(gen) != matrix.dim:
+        raise ValueError("vector dimension mismatch")
     det = matrix.det
+    adjugate = matrix.adjugate
     up, down = [gen], [gen]  # gen M^k and gen adj(M)^k = det^k gen M^-k
     for _ in range(window):
-        up.append(up[-1] @ matrix)
-        down.append(down[-1] @ matrix.adjugate)
+        up.append(_vec_mat(up[-1], matrix))
+        down.append(_vec_mat(down[-1], adjugate))
     lat = _EchelonLattice(matrix.dim)
     for k in range(-window, window + 1):
         row = up[k] if k >= 0 else down[-k]
@@ -222,10 +226,14 @@ def _scaled_point(group: GroupParams, v, window: int):
     if window < 0:
         raise ValueError("window must be nonnegative")
     if isinstance(v, GroupElement):
-        z, d = v.v @ group._power(-v.p), v.p - v.q
-        if window >= v.p:
-            return d, [e * group.det ** (window - v.p) for e in z]
-        div = group.det ** (v.p - window)
+        if len(v.v) != group.m:
+            raise ValueError("vector dimension mismatch")
+        p = v.p
+        z, d = _vec_mat(v.v, group._power(-p)), p - v.q
+        if window >= p:
+            scale = group.det ** (window - p)
+            return d, [e * scale for e in z]
+        div = group.det ** (p - window)
         return d, None if any(e % div for e in z) else [e // div for e in z]
     if isinstance(v, OracleElement):
         a, d = v.a, v.d
@@ -315,8 +323,8 @@ class AttackResult:
     elapsed: float
 
     def __post_init__(self):
-        if self.success:
-            assert self.recovered is not None
+        if self.success and self.recovered is None:
+            raise ValueError("a successful attack must carry its recovered pair")
 
 
 def verify_break(pub: PublicParams1, target1: GroupElement,

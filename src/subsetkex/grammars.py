@@ -128,6 +128,11 @@ class CFGrammar:
         )
 
     @cached_property
+    def _rank(self) -> int:
+        """The smallest base dimension whose alphabet holds every terminal."""
+        return max(map(token_dimension, self.terminals), default=0)
+
+    @cached_property
     def _shortest(self) -> tuple:
         """Shortest yields: (length, pick, balance) per productive nonterminal.
 
@@ -220,12 +225,15 @@ class SamplePolicy:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "terminal_bias", Fraction(self.terminal_bias))
+        bias = self.terminal_bias
+        if not isinstance(bias, Fraction):
+            bias = Fraction(bias)
+            object.__setattr__(self, "terminal_bias", bias)
         if self.max_length < 1:
             raise ValueError("max_length must be at least 1")
         if self.depth_cap < 1:
             raise ValueError("depth_cap must be at least 1")
-        if not 0 < self.terminal_bias <= 1:
+        if not 0 < bias.numerator <= bias.denominator:
             raise ValueError("terminal_bias must lie in (0, 1]")
 
 
@@ -237,6 +245,8 @@ class SubsetSpec:
     group: GroupParams
 
     def __post_init__(self):
+        if self.grammar._rank <= self.group.m:
+            return
         for tok in self.grammar.terminals:
             if token_dimension(tok) > self.group.m:
                 raise ValueError(
@@ -271,16 +281,19 @@ def sample_grammar(grammar: CFGrammar, policy: SamplePolicy) -> tuple:
 def _derive_once(grammar, policy, rng) -> Optional[tuple]:
     options_for = grammar._productive_rules_by_lhs
     finishers_for = grammar._terminal_only_rules
+    nts = grammar._nt_set
+    max_length = policy.max_length
+    depth_cap = policy.depth_cap
     bias = float(policy.terminal_bias)
     out: list = []
     stack = [(grammar.start, 0)]  # reversed sentential form, leftmost on top
     steps = 0
-    budget = 16 * (policy.max_length + policy.depth_cap) + 64
+    budget = 16 * (max_length + depth_cap) + 64
     while stack:
         sym, depth = stack.pop()
-        if not grammar.is_nonterminal(sym):
+        if sym not in nts:
             out.append(sym)
-            if len(out) > policy.max_length:
+            if len(out) > max_length:
                 return None
             continue
         options = options_for.get(sym)
@@ -290,13 +303,12 @@ def _derive_once(grammar, policy, rng) -> Optional[tuple]:
         if steps > budget:
             return None
         pool = options
-        if depth > policy.depth_cap:
+        if depth > depth_cap:
             finishers = finishers_for.get(sym)
             if finishers and rng.random() < bias:
                 pool = finishers
-        rhs = pool[rng.randrange(len(pool))]
-        for s in reversed(rhs):
-            stack.append((s, depth + 1))
+        depth += 1
+        stack.extend([(s, depth) for s in reversed(rng.choice(pool))])
     return tuple(out)
 
 

@@ -21,11 +21,13 @@ Words over the generator tokens ``x1, x1^-1, ..., xm, xm^-1, t, t^-1`` are
 plain tuples of strings; ``GroupParams.evaluate`` folds them into normal
 forms and ``GroupElement.to_word`` is a (capped) unary section of that map.
 
-Validation happens once, at the public boundary: direct ``GroupElement``
-construction, ``GroupParams.element``, ``phi_power`` and
-``preimage_under_phi`` coerce and check their inputs.  Internally there is
-one Britton reduction routine, and results already known to be reduced are
-wrapped by a trusted constructor that does not test reducedness again.
+Validation happens once, at the public boundary: ``IntMatrix``, ``v @ M``,
+direct ``GroupElement`` construction, ``GroupParams.element``,
+``phi_power`` and ``preimage_under_phi`` coerce and check their inputs,
+then call trusted kernels that check nothing: ``_vec_mat``, ``_vec_add``,
+``GroupParams._preimage``, the one Britton reduction ``_reduce``, and the
+constructors ``_reduced`` and ``_trusted_matrix``.  ``_preimage`` divides
+by the adjugate, whose certificate M adj(M) = det I is checked once.
 ``evaluate`` folds one token at a time over the state t^p v t^-q without a
 reduction test for x-tokens or t: appending x_i^(+-1) adds +-(row i of
 M^q) to v, and for q >= 1 that row lies in Im M, so v stays outside Im M
@@ -39,7 +41,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -224,8 +226,8 @@ class IntMatrix:
         scaled = tuple(
             tuple(det * e for e in row) for row in _identity_rows(self.dim)
         )
-        assert det == self.det
-        assert _mat_mul_rows(self.rows, adj_rows) == scaled
+        if det != self.det or _mat_mul_rows(self.rows, adj_rows) != scaled:
+            raise ArithmeticError("adjugate certificate M adj(M) = det I failed")
         return _trusted_matrix(adj_rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -243,18 +245,18 @@ class IntMatrix:
 
 
 def matrix_power(mat: IntMatrix, k: int) -> IntMatrix:
-    """M**k for k >= 0 by square-and-multiply."""
+    """M**k for k >= 0 by square-and-multiply, from the lowest set bit."""
     if k < 0:
         raise ValueError("matrix power requires a nonnegative exponent")
-    rows = _identity_rows(mat.dim)
+    rows = None
     base = mat.rows
     while k:
         if k & 1:
-            rows = _mat_mul_rows(rows, base)
+            rows = base if rows is None else _mat_mul_rows(rows, base)
         k >>= 1
         if k:
             base = _mat_mul_rows(base, base)
-    return _trusted_matrix(rows)
+    return _trusted_matrix(_identity_rows(mat.dim) if rows is None else rows)
 
 
 def _trusted_matrix(rows: tuple) -> IntMatrix:
@@ -271,11 +273,11 @@ def _trusted_matrix(rows: tuple) -> IntMatrix:
 
 
 def _vec_mat(v: Vec, mat: IntMatrix) -> Vec:
-    return tuple(sum(map(mul, v, col)) for col in mat.cols)
+    return tuple([sum(map(mul, v, col)) for col in mat.cols])
 
 
 def _vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _vec_neg(a: Vec) -> Vec:
@@ -290,22 +292,22 @@ def _vec_neg(a: Vec) -> Vec:
 class GroupParams:
     """Ambient group data: the base dimension and the matrix action.
 
-    The determinant and adjugate are computed once and shared; the adjugate
-    makes the image test exact integer arithmetic (division by det) rather
-    than rational matrix inversion.
+    The dimension, determinant and adjugate are resolved once per group and
+    shared; the adjugate makes the image test exact integer arithmetic
+    (division by det) rather than rational matrix inversion.
     """
 
     matrix: IntMatrix
 
-    @property
+    @cached_property
     def m(self) -> int:
         return self.matrix.dim
 
-    @property
+    @cached_property
     def det(self) -> int:
         return self.matrix.det
 
-    @property
+    @cached_property
     def adjugate(self) -> IntMatrix:
         return self.matrix.adjugate
 
@@ -354,10 +356,17 @@ class GroupParams:
         v = tuple(map(int, v))
         if len(v) != self.m:
             raise ValueError("vector dimension mismatch")
+        return self._preimage(v)
+
+    def _preimage(self, v: Sequence[int]) -> Optional[Vec]:
+        """Trusted kernel of ``preimage_under_phi`` for m integers.
+
+        Stops at the first column of v adj(M) that det(M) does not divide.
+        """
         det = self.det
         out = []
-        for e in _vec_mat(v, self.adjugate):
-            q, r = divmod(e, det)
+        for col in self.adjugate.cols:
+            q, r = divmod(sum(map(mul, v, col)), det)
             if r:
                 return None
             out.append(q)
@@ -421,13 +430,15 @@ class GroupParams:
         |det M| = 1, where v M^-k = det^k v adj(M)^k is always integral.
         """
         k = min(p, q)
-        if k and self.det in (1, -1):
-            v = tuple(self.det ** k * e for e in v @ self._power(-k))
+        det = self.det
+        if k and det in (1, -1):
+            sign = det ** k
+            v = tuple([sign * e for e in _vec_mat(v, self._power(-k))])
             p, q = p - k, q - k
         elif k and not any(v):
             p, q = p - k, q - k
         while p > 0 and q > 0:
-            w = self.preimage_under_phi(v)
+            w = self._preimage(v)
             if w is None:
                 break
             p -= 1
@@ -459,7 +470,7 @@ class GroupParams:
                     p += 1
                     v = list(_vec_mat(v, self.matrix))
             elif tok == TOKEN_STABLE_INV:
-                w = self.preimage_under_phi(v) if p and not q else None
+                w = self._preimage(v) if p and not q else None
                 if w is None:
                     q += 1
                 else:
@@ -482,7 +493,11 @@ class GroupParams:
 def _reduced(group: GroupParams, p: int, v: Vec, q: int) -> "GroupElement":
     """Trusted constructor: wraps a triple already known to be reduced."""
     g = object.__new__(GroupElement)
-    g.__dict__.update(group=group, p=p, v=v, q=q)  # bypasses frozen __setattr__
+    d = g.__dict__  # bypasses frozen __setattr__
+    d["group"] = group
+    d["p"] = p
+    d["v"] = v
+    d["q"] = q
     return g
 
 
@@ -508,7 +523,7 @@ class GroupElement:
         if (
             self.p > 0
             and self.q > 0
-            and self.group.preimage_under_phi(self.v) is not None
+            and self.group._preimage(self.v) is not None
         ):
             raise ValueError(
                 "triple is not Britton-reduced; use GroupParams.element"

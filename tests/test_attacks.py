@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from subsetkex import (
     AttackInstance,
+    AttackResult,
     CFGrammar,
     CommutationError,
     GridPoint,
@@ -148,6 +149,15 @@ def test_negative_window_raises(bs2):
             lattice_member(bs2, v, (1,), -1)
         with pytest.raises(ValueError, match="window must be nonnegative"):
             subset_distance(bs2, v, (1,), -1)
+
+
+def test_lattice_dimension_mismatch_raises(bs2, upper2):
+    # the vector kernels do not check lengths; the public calls do
+    for check in (lattice_member, subset_distance):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            check(upper2, bs2.base((4,)), (1, 0), 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            check(upper2, (4, 0), (1, 0, 0), 0)
 
 
 def test_distance_zero_on_members(bs2):
@@ -456,6 +466,14 @@ def test_rst_matches_three_product_reference():
         outcomes.append((result.success, result.iterations == point.max_iter))
     assert (True, False) in outcomes
     assert (False, True) in outcomes  # runs that use the whole budget
+
+
+def test_success_requires_recovered_pair():
+    # a plain assert would vanish under python -O
+    with pytest.raises(ValueError, match="recovered pair"):
+        AttackResult(success=True, recovered=None, iterations=0, best_score=0,
+                     elapsed=0.0)
+    assert AttackResult(False, None, 3, 7, 0.0).recovered is None
 
 
 def test_rst_requires_generator_mode(flat2):

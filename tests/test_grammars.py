@@ -98,14 +98,42 @@ def test_bad_symbols_rejected():
         CFGrammar(("S",), "Q", (("S", ("x1",)),))
 
 
-def test_spec_alphabet_bound(bs2):
+def test_spec_alphabet_bound(bs2, upper2):
     g = CFGrammar(("S",), "S", (("S", ("x2",)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="terminal 'x2' is outside the rank-1"):
         SubsetSpec(g, bs2)
+    g = CFGrammar(("S",), "S", (("S", ("x1", "S", "x2^-1")), ("S", ("t",))))
+    assert SubsetSpec(g, upper2).grammar is g
+    empty = CFGrammar(("S",), "S", (("S", ()),))
+    assert SubsetSpec(empty, bs2).sample(SamplePolicy()) == ()
 
 
 # ---------------------------------------------------------------------------
 # sampling
+
+
+@pytest.mark.parametrize("bias, accepted", [
+    (0, False), (Fraction(-1, 2), False), (Fraction(3, 2), False), (1, True),
+    (0.75, True), ("3/4", True), (True, True), (Fraction(3, 4), True)])
+def test_policy_terminal_bias_values(bias, accepted):
+    if not accepted:
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            SamplePolicy(terminal_bias=bias)
+        return
+    policy = SamplePolicy(terminal_bias=bias)
+    assert type(policy.terminal_bias) is Fraction
+    assert policy.terminal_bias == Fraction(bias)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions())
+def test_policy_bias_bounds_match_interval(bias):
+    # the numerator test is exactly 0 < bias <= 1
+    if 0 < bias <= 1:
+        assert SamplePolicy(terminal_bias=bias).terminal_bias == bias
+    else:
+        with pytest.raises(ValueError):
+            SamplePolicy(terminal_bias=bias)
 
 
 def test_single_rule_sampling(bs2):

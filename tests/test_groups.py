@@ -19,10 +19,13 @@ from subsetkex import (
     invert_token,
     word_inverse,
 )
-from subsetkex.groups import token_dimension
+from subsetkex.groups import _vec_add, _vec_mat, matrix_power, token_dimension
+from subsetkex.serialize import MAX_DIM
+from subsetkex import groups
 from conftest import (
     FOLD_MATRICES,
     random_element,
+    random_matrix,
     random_params,
     random_vec,
     random_word,
@@ -105,6 +108,101 @@ def test_adjugate_m40_in_time():
     assert product == tuple(tuple(mat.det if i == j else 0 for j in range(40))
                             for i in range(40))
     assert elapsed < 2.0  # one cofactor determinant per entry took ~12 s
+
+
+def test_adjugate_certificate_raises(monkeypatch):
+    # a wrong adjugate must be refused even under python -O
+    real = groups._bareiss_adjugate
+
+    def off_by_one(rows):
+        det, adj = real(rows)
+        return det, ((adj[0][0] + 1,) + adj[0][1:],) + adj[1:]
+
+    monkeypatch.setattr(groups, "_bareiss_adjugate", off_by_one)
+    with pytest.raises(ArithmeticError, match="adjugate certificate"):
+        IntMatrix(((2, 1), (0, 3))).adjugate
+    monkeypatch.setattr(groups, "_bareiss_adjugate",
+                        lambda rows: (-real(rows)[0], real(rows)[1]))
+    with pytest.raises(ArithmeticError, match="adjugate certificate"):
+        IntMatrix(((2, 1), (0, 3))).adjugate
+
+
+def naive_mat_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+def identity_rows(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def nonsingular_rows(dim, bound=3):
+    return st.lists(
+        st.lists(st.integers(-bound, bound), min_size=dim, max_size=dim),
+        min_size=dim, max_size=dim,
+    ).filter(_det_ok).map(lambda r: tuple(map(tuple, r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(nonsingular_rows))
+def test_matrix_power_matches_repeated_products(rows):
+    mat = IntMatrix(rows)
+    product = identity_rows(len(rows))
+    for k in range(10):
+        assert matrix_power(mat, k).rows == product, k
+        product = naive_mat_mul(product, rows)
+
+
+def test_matrix_power_at_max_dim():
+    rng = random.Random(24)
+    rows = random_matrix(rng, MAX_DIM).rows
+    mat = IntMatrix(rows)
+    assert matrix_power(mat, 0).rows == identity_rows(MAX_DIM)
+    assert matrix_power(mat, 1).rows == rows
+    assert matrix_power(mat, 2).rows == naive_mat_mul(rows, rows)
+
+
+@st.composite
+def group_and_vectors(draw):
+    dim = draw(st.integers(1, 3))
+    group = GroupParams(IntMatrix(draw(nonsingular_rows(dim))))
+    vec = st.lists(st.integers(-40, 40), min_size=dim, max_size=dim).map(tuple)
+    v, a = draw(vec), draw(vec)
+    if draw(st.booleans()):
+        v = naive_vec_power(group, v, 1)  # lands in Im M
+    return group, v, a
+
+
+def cramer_solution(rows, v):
+    """Independent x with x M = v over Q: Cramer's rule on the rows of M."""
+    det = fraction_det(rows)
+    return tuple(
+        Fraction(fraction_det(rows[:j] + (v,) + rows[j + 1:]), det)
+        for j in range(len(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_and_vectors())
+def test_preimage_kernel_matches_public_and_oracle(data):
+    group, v, _ = data
+    w = group._preimage(v)
+    assert w == group.preimage_under_phi(v)
+    exact = cramer_solution(group.matrix.rows, v)
+    if all(e.denominator == 1 for e in exact):
+        assert w == tuple(int(e) for e in exact)
+        assert naive_vec_power(group, w, 1) == v
+    else:
+        assert w is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_and_vectors())
+def test_vector_kernels_match_loops(data):
+    group, v, a = data
+    n = group.m
+    assert _vec_mat(v, group.matrix) == naive_vec_power(group, v, 1)
+    assert _vec_add(v, a) == tuple(v[i] + a[i] for i in range(n))
 
 
 def test_identity_element(bs2):
