@@ -125,7 +125,7 @@ def test_policy_terminal_bias_values(bias, accepted):
     assert policy.terminal_bias == Fraction(bias)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.fractions())
 def test_policy_bias_bounds_match_interval(bias):
     # the numerator test is exactly 0 < bias <= 1
