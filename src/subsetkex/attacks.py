@@ -143,7 +143,14 @@ class _EchelonLattice:
                     vec[k] = -bg * ra + ag * rb
 
     def normalize(self) -> None:
-        """Canonical Hermite form: positive pivots, reduced entries above."""
+        """Echelon form with positive pivots; canonical only up to two rows.
+
+        Each pivot is made positive, then the rows above each pivot are
+        reduced into [0, pivot), from the bottom row up.  A later step can
+        push an entry reduced earlier back out of range, so with three or
+        more rows the result need not be the Hermite normal form.  With at
+        most two rows (every lattice of dim <= 2) it is.
+        """
         for idx in range(len(self.rows)):
             j = self.pivots[idx]
             if self.rows[idx][j] < 0:
@@ -390,6 +397,15 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
     distance is 0, exactly when the point is a member (a nonzero t-exponent
     or an unscalable point scores at least 2^20).  Only a distance-0
     candidate is certified.
+
+    A walk that lands on a normal form of ``rest`` it has visited before
+    stops there with the result the whole budget would give.  Normal forms
+    are unique and current = target rest^-1, so rest alone fixes every
+    later candidate, score, certificate and move: the walk would replay
+    the loop until the budget ran out.  No iteration of the loop found a
+    break, so no replay can, and ``best`` already holds the minimum over
+    the replayed scores.  ``iterations`` still reports the budget
+    ``max_iter``.
     """
     if instance.gens_a is None:
         raise ValueError("rst_greedy needs generator mode (gens_a supplied)")
@@ -416,6 +432,7 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
     if best == 0 and certified(current, b0):
         return AttackResult(True, (current, b0), 0, 0, clock() - t0)
     heads = [w_inv * step.inverse() for step in steps]
+    seen = {(rest.p, rest.v, rest.q)}
     for it in range(1, max_iter + 1):
         scored = []
         for idx, head in enumerate(heads):
@@ -431,6 +448,10 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
         best = min(best, d0)
         current = current * steps[idx0]
         rest = steps[idx0].inverse() * rest
+        state = (rest.p, rest.v, rest.q)
+        if state in seen:
+            break
+        seen.add(state)
     return AttackResult(False, None, max_iter, best, clock() - t0)
 
 

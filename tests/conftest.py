@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from subsetkex import GridPoint, GroupParams, IntMatrix
+from subsetkex import (
+    GridPoint,
+    GroupParams,
+    IntMatrix,
+    lattice_member,
+    subset_distance,
+    verify_break,
+)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -76,6 +83,48 @@ def sweep_random_point(rng, i):
     w = (rng.randint(0, 2), tuple(rng.randint(-3, 3) for _ in range(dim)),
          rng.randint(0, 2))
     return GridPoint(grid_id=f"random-{i}", rows=rows, u=u, v=v, w=w)
+
+
+def reference_rst_greedy(instance, max_iter, window=None):
+    """The three-product walk: a = current s, then b = w^-1 a^-1 target.
+
+    Every candidate is tested for membership before it is scored, as
+    rst_greedy did before it factored b and scored first.  The walk has no
+    stop at a repeated state: a failing run spends the whole budget.
+    Returns (success, iterations, best_score, recovered).
+    """
+    pub = instance.pub
+    group = pub.group
+    gen_b = instance.gen_b
+
+    def win(b):
+        return window if window is not None else b.p + b.q + 8
+
+    def certified(a, b):
+        return (lattice_member(group, b, gen_b, win(b)).is_member
+                and verify_break(pub, instance.target, instance.target,
+                                 a, b, a, b))
+
+    def induced(a):
+        return pub.w.inverse() * a.inverse() * instance.target
+
+    steps = [s for gen in instance.gens_a for s in (gen, gen.inverse())]
+    current = group.identity()
+    b0 = induced(current)
+    if certified(current, b0):
+        return True, 0, 0, (current, b0)
+    best = subset_distance(group, b0, gen_b, win(b0))
+    for it in range(1, max_iter + 1):
+        scored = []
+        for idx, step in enumerate(steps):
+            a = current * step
+            b = induced(a)
+            if certified(a, b):
+                return True, it, 0, (a, b)
+            scored.append((subset_distance(group, b, gen_b, win(b)), idx, a))
+        d0, _, current = min(scored, key=lambda s: (s[0], s[1]))
+        best = min(best, d0)
+    return False, max_iter, best, None
 
 
 @pytest.fixture

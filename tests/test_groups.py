@@ -1,5 +1,6 @@
 """Group arithmetic: normal forms, words, and the rational oracle."""
 
+import json
 import operator
 import random
 import time
@@ -30,6 +31,7 @@ from conftest import (
     random_vec,
     random_word,
 )
+from test_startup import python
 
 
 def naive_vec_power(group, v, k):
@@ -125,6 +127,39 @@ def test_adjugate_certificate_raises(monkeypatch):
                         lambda rows: (-real(rows)[0], real(rows)[1]))
     with pytest.raises(ArithmeticError, match="adjugate certificate"):
         IntMatrix(((2, 1), (0, 3))).adjugate
+
+
+# python -O strips every assert: the certificates must raise without them
+_UNDER_O = """
+import json, sys
+from subsetkex import AttackResult, IntMatrix, groups
+
+real = groups._bareiss_adjugate
+
+def off_by_one(rows):
+    det, adj = real(rows)
+    return det, ((adj[0][0] + 1,) + adj[0][1:],) + adj[1:]
+
+groups._bareiss_adjugate = off_by_one
+outcomes = [sys.flags.optimize]
+for check in (lambda: IntMatrix(((2, 1), (0, 3))).adjugate,
+              lambda: AttackResult(True, None, 0, 0, 0.0)):
+    try:
+        check()
+        outcomes.append(None)
+    except Exception as exc:
+        outcomes.append([type(exc).__name__, str(exc)])
+print(json.dumps(outcomes))
+"""
+
+
+def test_certificates_raise_under_optimize():
+    optimize, adjugate, result = json.loads(python("-O", "-c", _UNDER_O))
+    assert optimize == 1
+    assert adjugate == ["ArithmeticError",
+                        "adjugate certificate M adj(M) = det I failed"]
+    assert result == ["ValueError",
+                      "a successful attack must carry its recovered pair"]
 
 
 def naive_mat_mul(a, b):
