@@ -20,13 +20,13 @@ outside it, or a subset without the certificate, is not a break), so the
 harness cannot report a false break.
 
 Experiment sweeps are reproducible: per-trial seeds derive from one master
-seed and the timing column uses an injectable clock that defaults to a
-constant, so repeated sweeps emit byte-identical CSV.
+seed, and only the sweep times its trials (the searches return no timings),
+with an injectable clock that defaults to a constant, so repeated sweeps
+emit byte-identical CSV.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -97,11 +97,11 @@ def _xgcd(a: int, b: int):
 
 
 class _EchelonLattice:
-    """Row lattice kept in Hermite-style echelon form.
+    """Row lattice kept in Hermite-style echelon form, immutable once built.
 
-    Supports exact membership (divisibility descent along pivots) and a
-    nearest-rounding reduction used as the Babai residual for distances.
-    Treated as immutable once built.
+    Nearest rounding along the positive pivots gives the Babai residual for
+    distances; it recovers every coefficient of a lattice point, so a point
+    is a member exactly when its residual is zero.
     """
 
     def __init__(self, dim: int):
@@ -164,18 +164,6 @@ class _EchelonLattice:
                     self.rows[above] = [
                         e - q * f for e, f in zip(self.rows[above], self.rows[idx])
                     ]
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        vec = list(vec)
-        for idx, j in enumerate(self.pivots):
-            if vec[j]:
-                q, r = divmod(vec[j], self.rows[idx][j])
-                if r:
-                    return False
-                row = self.rows[idx]
-                for k in range(j, self.dim):
-                    vec[k] -= q * row[k]
-        return not any(vec)
 
     def reduce_nearest(self, vec: Sequence[int]) -> list:
         """Residual after rounding each pivot coordinate to the nearest layer."""
@@ -256,6 +244,16 @@ def _scaled_point(group: GroupParams, v, window: int):
     return d, z
 
 
+def _reduced(group: GroupParams, v, gen: Sequence[int], window: int):
+    """(d, residual): v's t-exponent and the Babai residual of its scaled
+    base part, or (d, None) when that cannot be scaled into the window."""
+    gen = tuple(int(e) for e in gen)
+    d, z = _scaled_point(group, v, window)
+    if z is None:
+        return d, None
+    return d, _window_lattice(group.matrix, gen, window).reduce_nearest(z)
+
+
 def lattice_member(group: GroupParams, v, gen: Sequence[int],
                    window: int) -> MembershipVerdict:
     """Decide membership in the integer span of gen M^k for |k| <= window.
@@ -263,17 +261,15 @@ def lattice_member(group: GroupParams, v, gen: Sequence[int],
     ``v`` may be a base vector, a group element or an oracle point (a, d).
     A nonzero stable-letter exponent d can never lie in the base hull, so it
     is a certified non-member.  Denominators beyond det^window cannot be
-    scaled into the window and come back "unknown".  "member" is exact.
+    scaled into the window and come back "unknown".  "member" is exact: it
+    means a zero residual (see ``_EchelonLattice``).
     """
-    gen = tuple(int(e) for e in gen)
-    d, z = _scaled_point(group, v, window)
+    d, residual = _reduced(group, v, gen, window)
     if d != 0:
         return MembershipVerdict(NON_MEMBER_IN_WINDOW)
-    if z is None:
+    if residual is None:
         return MembershipVerdict(UNKNOWN)
-    lat = _window_lattice(group.matrix, gen, window)
-    value = MEMBER if lat.contains(z) else NON_MEMBER_IN_WINDOW
-    return MembershipVerdict(value)
+    return MembershipVerdict(NON_MEMBER_IN_WINDOW if any(residual) else MEMBER)
 
 
 def subset_distance(group: GroupParams, v, gen: Sequence[int],
@@ -282,15 +278,13 @@ def subset_distance(group: GroupParams, v, gen: Sequence[int],
 
     Nonzero stable exponents draw a stiff per-unit penalty; candidates that
     cannot be scaled into the window score as maximally distant.  The
-    distance is 0 exactly when ``lattice_member`` says "member" (see
-    ``rst_greedy``).
+    distance is 0 exactly when ``lattice_member`` says "member": both read
+    the same residual, and a nonzero d scores at least 2^20.
     """
-    gen = tuple(int(e) for e in gen)
-    d, z = _scaled_point(group, v, window)
+    d, residual = _reduced(group, v, gen, window)
     penalty = _T_PENALTY * abs(d)
-    if z is None:
+    if residual is None:
         return _MAX_DIST + penalty
-    residual = _window_lattice(group.matrix, gen, window).reduce_nearest(z)
     return penalty + sum(abs(e).bit_length() for e in residual)
 
 
@@ -323,11 +317,12 @@ class AttackInstance:
 
 @dataclass(frozen=True)
 class AttackResult:
+    """What one search found; callers time the call themselves."""
+
     success: bool
     recovered: Optional[tuple]  # (a, b) with a w b = target when success
-    iterations: int
-    best_score: int
-    elapsed: float
+    iterations: int  # the search's own count: steps or expanded nodes
+    best_score: int  # the lowest score seen, 0 on success
 
     def __post_init__(self):
         if self.success and self.recovered is None:
@@ -378,8 +373,7 @@ def _certifier(instance: AttackInstance, window: Optional[int]):
 
 
 def rst_greedy(instance: AttackInstance, max_iter: int = 200,
-               window: Optional[int] = None,
-               clock: Callable[[], float] = time.perf_counter) -> AttackResult:
+               window: Optional[int] = None) -> AttackResult:
     """Greedy one-generator-at-a-time attack on a generator-mode instance.
 
     Starting from the identity, every iteration appends the generator (or
@@ -391,12 +385,9 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
     The right factor of the candidate a = current s factors as
     (w^-1 s^-1)(current^-1 target): the head w^-1 s^-1 is fixed for the
     whole attack and the rest changes once per iteration, so a candidate
-    costs one product.  It also costs one lattice pass: the Hermite pivots
-    are positive, so nearest rounding recovers every coefficient of a
-    lattice point exactly, and the Babai residual is zero, i.e. the
-    distance is 0, exactly when the point is a member (a nonzero t-exponent
-    or an unscalable point scores at least 2^20).  Only a distance-0
-    candidate is certified.
+    costs one product.  It also costs one lattice pass: the distance is 0
+    exactly when the point is a member (see ``subset_distance``), so only
+    a distance-0 candidate is certified.
 
     A walk that lands on a normal form of ``rest`` it has visited before
     stops there with the result the whole budget would give.  Normal forms
@@ -423,14 +414,13 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
         steps.append(gen)
         steps.append(gen.inverse())
     w_inv = pub.w.inverse()
-    t0 = clock()
     current = group.identity()
     rest = instance.target  # current^-1 target
 
     b0 = w_inv * rest
     best = distance(b0)
     if best == 0 and certified(current, b0):
-        return AttackResult(True, (current, b0), 0, 0, clock() - t0)
+        return AttackResult(True, (current, b0), 0, 0)
     heads = [w_inv * step.inverse() for step in steps]
     seen = {(rest.p, rest.v, rest.q)}
     for it in range(1, max_iter + 1):
@@ -441,8 +431,7 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
             if d == 0:
                 a_cand = current * steps[idx]
                 if certified(a_cand, b_cand):
-                    return AttackResult(True, (a_cand, b_cand), it, 0,
-                                        clock() - t0)
+                    return AttackResult(True, (a_cand, b_cand), it, 0)
             scored.append((d, idx))
         d0, idx0 = min(scored)
         best = min(best, d0)
@@ -452,21 +441,20 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
         if state in seen:
             break
         seen.add(state)
-    return AttackResult(False, None, max_iter, best, clock() - t0)
+    return AttackResult(False, None, max_iter, best)
 
 
 def derivation_descent(instance: AttackInstance, beam: int = 8,
                        max_nodes: int = 2048, max_len: int = 48,
-                       window: Optional[int] = None,
-                       clock: Callable[[], float] = time.perf_counter
-                       ) -> AttackResult:
+                       window: Optional[int] = None) -> AttackResult:
     """Beam search over partial leftmost derivations of the left grammar.
 
     Each partial derivation is completed optimistically (remaining
     nonterminals replaced by their shortest terminal yields, which keeps
     the completion inside the language), inducing a left-factor candidate
     whose right factor is scored by ``default_length``.  Success is
-    certified the same way as in the greedy attack.
+    certified the same way as in the greedy attack.  ``iterations``
+    counts the expanded nodes.
     """
     if beam < 1:
         raise ValueError("beam must be at least 1")
@@ -475,7 +463,6 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     group = pub.group
     certified = _certifier(instance, window)
     w_inv = pub.w.inverse()
-    t0 = clock()
 
     yield_cache: dict = {}
 
@@ -500,7 +487,7 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     s, a_cand, b_cand = assess(root)
     best = s
     if certified(a_cand, b_cand):
-        return AttackResult(True, (a_cand, b_cand), 0, 0, clock() - t0)
+        return AttackResult(True, (a_cand, b_cand), 0, 0)
 
     frontier = [(s, 0, root)]
     expanded = 0
@@ -525,9 +512,7 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
                 s, a_cand, b_cand = assess(child)
                 best = min(best, s)
                 if certified(a_cand, b_cand):
-                    return AttackResult(
-                        True, (a_cand, b_cand), expanded, 0, clock() - t0
-                    )
+                    return AttackResult(True, (a_cand, b_cand), expanded, 0)
                 children.append((s, tiebreak, child))
                 tiebreak += 1
                 if expanded >= max_nodes:
@@ -536,7 +521,7 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
                 break
         children.sort(key=lambda node: (node[0], node[1]))
         frontier = children[:beam]
-    return AttackResult(False, None, expanded, best, clock() - t0)
+    return AttackResult(False, None, expanded, best)
 
 
 # ---------------------------------------------------------------------------
@@ -598,17 +583,16 @@ def build_p1_instance(point: GridPoint, trial_seed: int) -> AttackInstance:
                           point.v)
 
 
-def _run_one(point: GridPoint, mode: str, trial_seed: int,
-             clock: Callable[[], float]) -> AttackResult:
+def _run_one(point: GridPoint, mode: str, trial_seed: int) -> AttackResult:
     instance = build_p1_instance(point, trial_seed)
     if mode == "rst":
         return rst_greedy(instance, max_iter=point.max_iter,
-                          window=point.window, clock=clock)
+                          window=point.window)
     if mode == "descent":
         return derivation_descent(instance, beam=point.beam,
                                   max_nodes=point.max_nodes,
                                   max_len=point.max_length,
-                                  window=point.window, clock=clock)
+                                  window=point.window)
     raise ValueError(f"unknown attack mode {mode!r}")
 
 
@@ -635,7 +619,7 @@ def run_experiments(grid: Sequence[GridPoint], trials: int, seed: int,
                 trial_seed = derive_seed(
                     seed, "sweep", point.grid_id, mode, trial)
                 t0 = clock()
-                result = _run_one(point, mode, trial_seed, clock)
+                result = _run_one(point, mode, trial_seed)
                 elapsed_ms = (clock() - t0) * 1000.0
                 successes += int(result.success)
                 total_iters += result.iterations

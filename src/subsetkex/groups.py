@@ -21,10 +21,10 @@ Words over the generator tokens ``x1, x1^-1, ..., xm, xm^-1, t, t^-1`` are
 plain tuples of strings; ``GroupParams.evaluate`` folds them into normal
 forms and ``GroupElement.to_word`` is a (capped) unary section of that map.
 
-Validation happens once, at the public boundary: ``IntMatrix``, ``v @ M``,
-direct ``GroupElement`` construction, ``GroupParams.element``,
-``phi_power`` and ``preimage_under_phi`` coerce and check their inputs,
-then call trusted kernels that check nothing: ``_vec_mat``, ``_vec_add``,
+Validation happens once, at the public boundary: ``IntMatrix``, direct
+``GroupElement`` construction, ``GroupParams.element``, ``phi_power`` and
+``preimage_under_phi`` coerce and check their inputs, then call trusted
+kernels that check nothing: ``_vec_mat``, ``_vec_add``,
 ``GroupParams._preimage``, the one Britton reduction ``_reduce``, and the
 constructors ``_reduced`` and ``_trusted_matrix``.  ``_preimage`` divides
 by the adjugate, whose certificate M adj(M) = det I is checked once.
@@ -236,12 +236,6 @@ class IntMatrix:
         if other.dim != self.dim:
             raise ValueError("matrix dimension mismatch")
         return IntMatrix(_mat_mul_rows(self.rows, other.rows))
-
-    def __rmatmul__(self, v) -> Vec:
-        """Row vector times matrix: ``v @ M``."""
-        if len(v) != self.dim:
-            raise ValueError("vector dimension mismatch")
-        return _vec_mat(v, self)
 
 
 def matrix_power(mat: IntMatrix, k: int) -> IntMatrix:

@@ -2,8 +2,8 @@
 
 Field order is fixed and emission is canonical (compact separators, no key
 sorting beyond construction order), so parse -> emit round-trips are
-byte-identical.  Big integers travel as decimal strings inside element and
-vector encodings; matrix entries are plain JSON integers.
+byte-identical.  Big integers travel as decimal strings (ASCII ``-?[0-9]+``)
+inside element and vector encodings; matrix entries are plain JSON integers.
 
     matrix   {"m":2,"rows":[[2,1],[0,3]]}
     element  {"p":1,"v":["3","-7"],"q":0}
@@ -32,6 +32,7 @@ the lattice work of an attack grows steeply in m.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -66,6 +67,7 @@ MAX_STABLE_EXPONENT = 1 << 16
 MAX_WINDOW = 64
 MAX_MEMBER_WORD = 128
 MAX_DIM = 24
+_DECIMAL = re.compile("-?[0-9]+")  # ASCII only, unlike int()
 
 
 class SchemaError(ValueError):
@@ -102,10 +104,12 @@ def _as_int(value, what: str) -> int:
 def _as_bigint(value, what: str) -> int:
     if not isinstance(value, str):
         raise SchemaError(f"{what} must be a decimal string")
-    try:
-        return int(value, 10)
-    except ValueError:
-        raise SchemaError(f"{what} is not a decimal integer: {value!r}") from None
+    if _DECIMAL.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise SchemaError(f"{what} is not a decimal integer: {value!r}")
 
 
 # ---------------------------------------------------------------------------

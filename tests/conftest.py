@@ -85,6 +85,25 @@ def sweep_random_point(rng, i):
     return GridPoint(grid_id=f"random-{i}", rows=rows, u=u, v=v, w=w)
 
 
+def reference_contains(lattice, z):
+    """Exact window-lattice membership by divisibility descent.
+
+    At each pivot the coordinate must be a multiple of the pivot; that
+    multiple of the row is subtracted, and z is a member when nothing is
+    left.  lattice_member instead tests for a zero nearest-rounding
+    residual; this is the independent reference it is checked against.
+    """
+    vec = list(z)
+    for row, j in zip(lattice.rows, lattice.pivots):
+        if vec[j]:
+            q, r = divmod(vec[j], row[j])
+            if r:
+                return False
+            for k in range(j, lattice.dim):
+                vec[k] -= q * row[k]
+    return not any(vec)
+
+
 def reference_rst_greedy(instance, max_iter, window=None):
     """The three-product walk: a = current s, then b = w^-1 a^-1 target.
 

@@ -1,6 +1,7 @@
 """CLI: subcommand behaviour, exit codes, byte-level determinism."""
 
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -260,6 +261,59 @@ def test_attack_negative_window_exit_code(capsys, p1_instance):
                              str(p1_instance), "--window", "-1")
         assert (code, out) == (2, "")
         assert err == "error: window must be nonnegative\n"
+
+
+def _assert_time(text):
+    value = float(text)
+    assert math.isfinite(value) and value >= 0.0
+
+
+def test_attack_wall_clock(capsys, tmp_path, p1_instance):
+    """--wall-clock changes only the timing fields, and they are times."""
+    searches = (("rst", "--max-iter", "30"), ("descent", "--beam", "4"))
+    for search in searches:
+        argv = ("attack",) + search + ("--instance", str(p1_instance))
+        code, plain, _ = run(capsys, *argv)
+        code2, timed, _ = run(capsys, *argv, "--wall-clock")
+        assert code == code2 == 0
+        plain, timed = json.loads(plain), json.loads(timed)
+        assert plain.pop("elapsed_ms") == "0.000"
+        _assert_time(timed.pop("elapsed_ms"))
+        assert timed == plain
+
+    def sweep(*flags):
+        """(output without timings, timings) of a one-trial sweep."""
+        records = tmp_path / "trials.json"
+        code, out, _ = run(capsys, "attack", "sweep", "--trials", "1",
+                           "--seed", "5", "--trials-json", str(records),
+                           *flags)
+        assert code == 0
+        rows = [line.rsplit(",", 1) for line in out.splitlines()]
+        assert rows[0][1] == "mean_ms"
+        trials = json.loads(records.read_text())
+        rest = ([row[0] for row in rows],
+                [dict(trial, elapsed_ms=None) for trial in trials])
+        times = [row[1] for row in rows[1:]]
+        return rest, times + [trial["elapsed_ms"] for trial in trials]
+
+    plain, plain_times = sweep()
+    timed, timed_times = sweep("--wall-clock")
+    assert timed == plain
+    assert {float(t) for t in plain_times} == {0.0}
+    for value in timed_times:
+        _assert_time(value)
+
+
+def test_attack_instance_decimal_strings_strict(capsys, tmp_path, p1_instance):
+    obj = json.loads(p1_instance.read_text())
+    path = tmp_path / "target.json"
+    for bad in ("1_000", " 12 ", "+5", "\u0663"):
+        target = dict(obj["target"], v=[bad] + obj["target"]["v"][1:])
+        path.write_text(json.dumps(dict(obj, target=target)))
+        code, out, err = run(capsys, "attack", "rst", "--instance", str(path))
+        assert (code, out) == (2, ""), bad
+        assert err == ("error: vector entry is not a decimal integer: "
+                       f"{bad!r}\n")
 
 
 def test_kex_p1_instance_header_checked(capsys, tmp_path, params_file,

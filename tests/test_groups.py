@@ -143,7 +143,7 @@ def off_by_one(rows):
 groups._bareiss_adjugate = off_by_one
 outcomes = [sys.flags.optimize]
 for check in (lambda: IntMatrix(((2, 1), (0, 3))).adjugate,
-              lambda: AttackResult(True, None, 0, 0, 0.0)):
+              lambda: AttackResult(True, None, 0, 0)):
     try:
         check()
         outcomes.append(None)

@@ -125,6 +125,19 @@ def test_unencodable_element_refused():
     assert dumps(encode_element(decode_element(group, loads(text)))) == text
 
 
+def test_decimal_strings_strict(bs2):
+    # int() would take each of these; none re-encodes to its input
+    for bad in ("1_000", " 12 ", "+5", "\u0663"):
+        with pytest.raises(SchemaError, match="not a decimal integer"):
+            decode_vector([bad])
+        with pytest.raises(SchemaError, match="not a decimal integer"):
+            decode_element(bs2, {"p": 0, "v": [bad], "q": 0})
+    for good in ("-123", "7" * 4000):
+        assert encode_vector(decode_vector([good])) == [good]
+        obj = {"p": 0, "v": [good], "q": 0}
+        assert encode_element(decode_element(bs2, obj)) == obj
+
+
 def test_vector_and_word(bs2):
     assert encode_vector((3, -7)) == ["3", "-7"]
     assert decode_vector(["3", "-7"]) == (3, -7)
