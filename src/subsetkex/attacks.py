@@ -10,10 +10,11 @@ Two attack strategies against p1-style targets a1 w b1:
                       length of the induced right factor.
 
 The right-factor membership test is exact: candidates are mapped into the
-rational semidirect model, scaled by det(M)^K, and solved against the
-Hermite-normal-form basis of the window lattice spanned by gen M^k for
-|k| <= K.  A "member" verdict is a certificate; "unknown" only means the
-window was too small to scale the candidate.  Success additionally requires
+rational semidirect model, scaled by det(M)^K, and rounded against an
+echelon basis of the window lattice spanned by gen M^k for |k| <= K, built
+from at most m rows (Cayley-Hamilton).  A "member" verdict is a
+certificate; "unknown" only means the window was too small to scale the
+candidate.  Success additionally requires
 the recovered pair to reproduce the target exactly and to commute with the
 opposite subset, certified exactly in the abelian base hull (a factor
 outside it, or a subset without the certificate, is not a break), so the
@@ -81,7 +82,7 @@ def zero_clock() -> float:
 
 
 # ---------------------------------------------------------------------------
-# integer lattices in echelon / Hermite form
+# integer lattices in echelon form
 
 
 def _xgcd(a: int, b: int):
@@ -97,7 +98,7 @@ def _xgcd(a: int, b: int):
 
 
 class _EchelonLattice:
-    """Row lattice kept in Hermite-style echelon form, immutable once built.
+    """Row lattice kept in echelon form by xgcd steps, immutable once built.
 
     Nearest rounding along the positive pivots gives the Babai residual for
     distances; it recovers every coefficient of a lattice point, so a point
@@ -143,27 +144,15 @@ class _EchelonLattice:
                     vec[k] = -bg * ra + ag * rb
 
     def normalize(self) -> None:
-        """Echelon form with positive pivots; canonical only up to two rows.
+        """Make every pivot positive; entries above the pivots stay as built.
 
-        Each pivot is made positive, then the rows above each pivot are
-        reduced into [0, pivot), from the bottom row up.  A later step can
-        push an entry reduced earlier back out of range, so with three or
-        more rows the result need not be the Hermite normal form.  With at
-        most two rows (every lattice of dim <= 2) it is.
+        The residual of ``reduce_nearest`` is the one vector congruent to the
+        query with every pivot coordinate in [-piv/2, piv/2), and the pivots
+        are invariants of the lattice, so those entries change no residual.
         """
-        for idx in range(len(self.rows)):
-            j = self.pivots[idx]
+        for idx, j in enumerate(self.pivots):
             if self.rows[idx][j] < 0:
                 self.rows[idx] = [-e for e in self.rows[idx]]
-        for idx in range(len(self.rows) - 1, -1, -1):
-            j = self.pivots[idx]
-            piv = self.rows[idx][j]
-            for above in range(idx):
-                q = self.rows[above][j] // piv
-                if q:
-                    self.rows[above] = [
-                        e - q * f for e, f in zip(self.rows[above], self.rows[idx])
-                    ]
 
     def reduce_nearest(self, vec: Sequence[int]) -> list:
         """Residual after rounding each pivot coordinate to the nearest layer."""
@@ -180,23 +169,25 @@ class _EchelonLattice:
 
 @lru_cache(maxsize=256)
 def _window_lattice(matrix: IntMatrix, gen: Vec, window: int) -> _EchelonLattice:
-    """HNF basis of span{gen M^k : -K <= k <= K}, scaled by det(M)^K.
+    """Echelon basis of span{gen M^k : -K <= k <= K}, scaled by det(M)^K.
+
+    det^K gen M^k = r M^(K+k) with r = gen adj(M)^K.  By Cayley-Hamilton
+    (M's characteristic polynomial is monic over Z), r M^j for j >= m is an
+    integer combination of earlier rows, so r M^j for j <= min(2K, m - 1)
+    span the lattice: at most m rows instead of 2K+1.
 
     Keyed on the matrix so that the cache pins no group (nor its power memo).
     """
     if len(gen) != matrix.dim:
         raise ValueError("vector dimension mismatch")
-    det = matrix.det
-    adjugate = matrix.adjugate
-    up, down = [gen], [gen]  # gen M^k and gen adj(M)^k = det^k gen M^-k
+    row = gen
     for _ in range(window):
-        up.append(_vec_mat(up[-1], matrix))
-        down.append(_vec_mat(down[-1], adjugate))
+        row = _vec_mat(row, matrix.adjugate)
     lat = _EchelonLattice(matrix.dim)
-    for k in range(-window, window + 1):
-        row = up[k] if k >= 0 else down[-k]
-        scale = det ** (window + min(k, 0))
-        lat.add([e * scale for e in row])
+    lat.add(row)
+    for _ in range(min(2 * window, matrix.dim - 1)):
+        row = _vec_mat(row, matrix)
+        lat.add(row)
     lat.normalize()
     return lat
 

@@ -2,8 +2,9 @@
 
 Field order is fixed and emission is canonical (compact separators, no key
 sorting beyond construction order), so parse -> emit round-trips are
-byte-identical.  Big integers travel as decimal strings (ASCII ``-?[0-9]+``)
-inside element and vector encodings; matrix entries are plain JSON integers.
+byte-identical.  Big integers travel as decimal strings (ASCII
+``0|-?[1-9][0-9]*``) inside element and vector encodings; matrix entries
+are plain JSON integers.  Objects with a duplicate key are refused.
 
     matrix   {"m":2,"rows":[[2,1],[0,3]]}
     element  {"p":1,"v":["3","-7"],"q":0}
@@ -20,7 +21,7 @@ is an element whose reduced entries have more decimal digits than Python
 converts (``sys.get_int_max_str_digits``): it could not be encoded again.
 Attack windows (a lattice window K, or a generator window g giving the
 conjugates t^-k u t^k for |k| <= g) are integers in 0..MAX_WINDOW: the
-window basis has 2K+1 rows of about K log2|det M| bits, and a generator
+window basis has at most m rows of about K log2|det M| bits, and a generator
 window multiplies every attack step by 2(2g+1) candidates.  The same cap
 bounds each stable exponent of an attack target, which sets the window of
 a candidate given no explicit one.  Words tested for grammar membership
@@ -67,7 +68,7 @@ MAX_STABLE_EXPONENT = 1 << 16
 MAX_WINDOW = 64
 MAX_MEMBER_WORD = 128
 MAX_DIM = 24
-_DECIMAL = re.compile("-?[0-9]+")  # ASCII only, unlike int()
+_DECIMAL = re.compile("0|-?[1-9][0-9]*")  # ASCII only, unlike int()
 
 
 class SchemaError(ValueError):
@@ -78,9 +79,16 @@ def dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _unique_keys(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise SchemaError("JSON object has a duplicate key")
+    return obj
+
+
 def loads(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
 

@@ -12,6 +12,8 @@ from subsetkex import (
     subset_distance,
     verify_break,
 )
+from subsetkex.attacks import _EchelonLattice
+from subsetkex.groups import _vec_mat
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -102,6 +104,28 @@ def reference_contains(lattice, z):
             for k in range(j, lattice.dim):
                 vec[k] -= q * row[k]
     return not any(vec)
+
+
+def reference_window_lattice(matrix, gen, window):
+    """The window lattice built from all 2K+1 scaled rows.
+
+    Row k is det^K gen M^k for -K <= k <= K, written with the adjugate for
+    k < 0.  attacks._window_lattice builds the same lattice from at most m
+    rows; this is the construction it is checked against.
+    """
+    det = matrix.det
+    adjugate = matrix.adjugate
+    up, down = [gen], [gen]  # gen M^k and gen adj(M)^k = det^k gen M^-k
+    for _ in range(window):
+        up.append(_vec_mat(up[-1], matrix))
+        down.append(_vec_mat(down[-1], adjugate))
+    lat = _EchelonLattice(matrix.dim)
+    for k in range(-window, window + 1):
+        row = up[k] if k >= 0 else down[-k]
+        scale = det ** (window + min(k, 0))
+        lat.add([e * scale for e in row])
+    lat.normalize()
+    return lat
 
 
 def reference_rst_greedy(instance, max_iter, window=None):

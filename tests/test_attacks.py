@@ -41,10 +41,12 @@ from subsetkex import (
 )
 from subsetkex import attacks, cli, protocols
 from subsetkex.seeding import derive_seed
+from subsetkex.serialize import MAX_WINDOW
 from conftest import (
     FOLD_MATRICES,
     reference_contains,
     reference_rst_greedy,
+    reference_window_lattice,
     sweep_random_point,
 )
 
@@ -164,9 +166,25 @@ def test_lattice_dimension_mismatch_raises(bs2, upper2):
             check(upper2, (4, 0), (1, 0, 0), 0)
 
 
+def lattice_queries(rng, lat, count=8):
+    """Half random points, half lattice points moved by +-1 in one entry."""
+    bound = max((abs(e) for row in lat.rows for e in row), default=1) * 2
+    for i in range(count):
+        if i % 2 == 0:
+            yield [rng.randint(-bound, bound) for _ in range(lat.dim)]
+            continue
+        point = [0] * lat.dim
+        for row in lat.rows:
+            c = rng.randint(-3, 3)
+            point = [e + c * f for e, f in zip(point, row)]
+        point[rng.randrange(lat.dim)] += rng.choice((-1, 1))
+        yield point
+
+
 def test_window_lattice_echelon_guarantees():
-    # echelon form and positive pivots in every dimension; entries above
-    # the pivots reduced only up to two rows; every generator row a member
+    # echelon form and positive pivots in every dimension; the residual is
+    # centred at every pivot and differs from the query by a lattice point;
+    # every generator row a member
     rng = random.Random(8)
     cases = [(rows, (1,) + (0,) * (len(rows) - 1)) for rows in FOLD_MATRICES]
     cases += [(p.rows, p.u) for p in
@@ -178,16 +196,43 @@ def test_window_lattice_echelon_guarantees():
             assert lat.pivots == sorted(set(lat.pivots))
             for row, j in zip(lat.rows, lat.pivots):
                 assert not any(row[:j]) and row[j] > 0
-            if len(lat.rows) <= 2:
-                for idx, j in enumerate(lat.pivots):
-                    assert all(0 <= lat.rows[above][j] < lat.rows[idx][j]
-                               for above in range(idx))
+            for z in lattice_queries(rng, lat, 4):
+                r = lat.reduce_nearest(z)
+                for row, j in zip(lat.rows, lat.pivots):
+                    assert -row[j] <= 2 * r[j] < row[j]
+                assert reference_contains(lat, [a - b for a, b in zip(z, r)])
             scale = group.det ** window
             for k in range(-window, window + 1):
                 point = group.rational_phi_power(tuple(map(Fraction, gen)), k)
                 scaled = [e * scale for e in point]
                 assert all(e.denominator == 1 for e in scaled)
                 assert reference_contains(lat, [e.numerator for e in scaled])
+
+
+def test_window_lattice_matches_all_rows_reference():
+    # at most m rows span the same lattice as all 2K+1: equal pivot columns,
+    # equal pivot values and equal residuals, in both directions
+    rng = random.Random(16)
+    cases = [(rows, (1,) + (0,) * (len(rows) - 1)) for rows in FOLD_MATRICES]
+    cases += [(p.rows, p.u) for p in
+              (sweep_random_point(rng, i) for i in range(40))]
+    cases += [(((2, 1), (1, 1)), (1, -1)),  # |det| = 1, entries grow
+              (((2, 0), (0, 3)), (1, 0))]  # generator of rank 1
+    windows = (0, 1, 2, 8, 12, MAX_WINDOW)
+    rank_seen = set()
+    for rows, gen in cases:
+        matrix = IntMatrix(rows)
+        for window in windows:
+            lat = attacks._window_lattice(matrix, gen, window)
+            ref = reference_window_lattice(matrix, gen, window)
+            assert len(lat.rows) <= matrix.dim
+            assert lat.pivots == ref.pivots
+            assert ([row[j] for row, j in zip(lat.rows, lat.pivots)]
+                    == [row[j] for row, j in zip(ref.rows, ref.pivots)])
+            for z in lattice_queries(rng, ref):
+                assert lat.reduce_nearest(z) == ref.reduce_nearest(z)
+            rank_seen.add((matrix.dim, len(lat.rows)))
+    assert {(2, 1), (3, 1), (3, 3)} <= rank_seen
 
 
 def test_distance_zero_on_members(bs2):

@@ -307,13 +307,25 @@ def test_attack_wall_clock(capsys, tmp_path, p1_instance):
 def test_attack_instance_decimal_strings_strict(capsys, tmp_path, p1_instance):
     obj = json.loads(p1_instance.read_text())
     path = tmp_path / "target.json"
-    for bad in ("1_000", " 12 ", "+5", "\u0663"):
+    for bad in ("1_000", " 12 ", "+5", "\u0663", "007", "-0", "-007"):
         target = dict(obj["target"], v=[bad] + obj["target"]["v"][1:])
         path.write_text(json.dumps(dict(obj, target=target)))
         code, out, err = run(capsys, "attack", "rst", "--instance", str(path))
         assert (code, out) == (2, ""), bad
         assert err == ("error: vector entry is not a decimal integer: "
                        f"{bad!r}\n")
+
+
+def test_attack_instance_duplicate_key_refused(capsys, tmp_path, p1_instance):
+    # the repeated q comes first, so the last value (the one kept by
+    # json.loads alone) is the instance's own and the file decodes as before
+    text = p1_instance.read_text()
+    assert text.count('"target":{"p":') == 1
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace('"target":{"p":', '"target":{"q":0,"p":'))
+    code, out, err = run(capsys, "attack", "rst", "--instance", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: JSON object has a duplicate key\n"
 
 
 def test_kex_p1_instance_header_checked(capsys, tmp_path, params_file,

@@ -127,15 +127,28 @@ def test_unencodable_element_refused():
 
 def test_decimal_strings_strict(bs2):
     # int() would take each of these; none re-encodes to its input
-    for bad in ("1_000", " 12 ", "+5", "\u0663"):
+    for bad in ("1_000", " 12 ", "+5", "\u0663", "007", "-0", "-007", "00"):
         with pytest.raises(SchemaError, match="not a decimal integer"):
             decode_vector([bad])
         with pytest.raises(SchemaError, match="not a decimal integer"):
             decode_element(bs2, {"p": 0, "v": [bad], "q": 0})
-    for good in ("-123", "7" * 4000):
+    for good in ("-123", "7" * 4000, "0", "10", "-10"):
         assert encode_vector(decode_vector([good])) == [good]
         obj = {"p": 0, "v": [good], "q": 0}
         assert encode_element(decode_element(bs2, obj)) == obj
+
+
+def test_duplicate_keys_refused(upper2):
+    # json.loads alone would keep the last value of a repeated key
+    for text in ('{"p":0,"v":["1","2"],"q":0,"q":1}',
+                 '{"p":0,"v":["1","2"],"q":0,"q":0}',
+                 '{"m":2,"rows":[[2,1],[0,3]],"m":2}',
+                 '[{"lhs":"S","rhs":[],"lhs":"S"}]'):
+        with pytest.raises(SchemaError, match="duplicate key"):
+            loads(text)
+    obj = loads('{"p":0,"v":["1","2"],"q":1}')
+    assert dumps(encode_element(decode_element(upper2, obj))) == (
+        '{"p":0,"v":["1","2"],"q":1}')
 
 
 def test_vector_and_word(bs2):
