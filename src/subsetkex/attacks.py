@@ -28,6 +28,7 @@ emit byte-identical CSV.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -47,22 +48,10 @@ from .protocols import PublicParams1, p1_draw, p1_setup
 from .seeding import derive_seed
 
 __all__ = [
-    "MEMBER",
-    "NON_MEMBER_IN_WINDOW",
-    "UNKNOWN",
-    "MembershipVerdict",
-    "AttackInstance",
-    "AttackResult",
-    "GridPoint",
-    "lattice_member",
-    "subset_distance",
-    "orbit_generators",
-    "rst_greedy",
-    "derivation_descent",
-    "verify_break",
-    "build_p1_instance",
-    "run_experiments",
-    "zero_clock",
+    "MEMBER", "NON_MEMBER_IN_WINDOW", "UNKNOWN", "MembershipVerdict",
+    "AttackInstance", "AttackResult", "GridPoint", "lattice_member",
+    "subset_distance", "orbit_generators", "rst_greedy", "derivation_descent",
+    "verify_break", "build_p1_instance", "run_experiments", "zero_clock",
     "CSV_HEADER",
 ]
 
@@ -115,19 +104,10 @@ class _EchelonLattice:
         for j in range(self.dim):
             if not vec[j]:
                 continue
-            pos = None
-            for idx, pcol in enumerate(self.pivots):
-                if pcol == j:
-                    pos = idx
-                    break
-                if pcol > j:
-                    break
-            if pos is None:
-                where = 0
-                while where < len(self.pivots) and self.pivots[where] < j:
-                    where += 1
-                self.rows.insert(where, vec)
-                self.pivots.insert(where, j)
+            pos = bisect_left(self.pivots, j)
+            if pos == len(self.pivots) or self.pivots[pos] != j:
+                self.rows.insert(pos, vec)
+                self.pivots.insert(pos, j)
                 return
             row = self.rows[pos]
             a, b = row[j], vec[j]
@@ -215,7 +195,7 @@ def _scaled_point(group: GroupParams, v, window: int):
         if len(v.v) != group.m:
             raise ValueError("vector dimension mismatch")
         p = v.p
-        z, d = _vec_mat(v.v, group._power(-p)), p - v.q
+        z, d = _vec_mat(v.v, group._power(-p)) if p else v.v, p - v.q
         if window >= p:
             scale = group.det ** (window - p)
             return d, [e * scale for e in z]
@@ -238,7 +218,7 @@ def _scaled_point(group: GroupParams, v, window: int):
 def _reduced(group: GroupParams, v, gen: Sequence[int], window: int):
     """(d, residual): v's t-exponent and the Babai residual of its scaled
     base part, or (d, None) when that cannot be scaled into the window."""
-    gen = tuple(int(e) for e in gen)
+    gen = tuple(map(int, gen))
     d, z = _scaled_point(group, v, window)
     if z is None:
         return d, None
@@ -345,22 +325,34 @@ def _membership_window(b: GroupElement, window: Optional[int]) -> int:
 
 
 def _certifier(instance: AttackInstance, window: Optional[int]):
-    """The break test: ``certified(a, b)``.
+    """The break test ``certified(a, b, distance=None)``, built per search.
 
     It holds when b is a window-lattice member and the pair (a, b), used as
-    both cracks, passes ``verify_break``.
+    both cracks, passes ``verify_break``, which runs on every break.  A
+    caller that scored b with ``subset_distance`` passes that distance: it
+    is 0 exactly when ``lattice_member`` says "member" (both read the same
+    Babai residual), so the candidate costs one residual, not two.
     """
-    pub = instance.pub
+    pub, target = instance.pub, instance.target
 
-    def certified(a_cand: GroupElement, b_cand: GroupElement) -> bool:
-        verdict = lattice_member(pub.group, b_cand, instance.gen_b,
-                                 _membership_window(b_cand, window))
-        return verdict.is_member and verify_break(
-            pub, instance.target, instance.target,
-            a_cand, b_cand, a_cand, b_cand,
-        )
+    def certified(a_cand: GroupElement, b_cand: GroupElement,
+                  distance: Optional[int] = None) -> bool:
+        member = distance == 0 if distance is not None else lattice_member(
+            pub.group, b_cand, instance.gen_b,
+            _membership_window(b_cand, window)).is_member
+        return member and verify_break(pub, target, target,
+                                       a_cand, b_cand, a_cand, b_cand)
 
     return certified
+
+
+def _kept(pub: PublicParams1, name: str, key, build):
+    """``build()``, kept on ``pub`` (so once per point) for the last ``key``
+    asked for under ``name``; keys are compared by identity."""
+    kept = pub.__dict__.get(name)  # written past the frozen __setattr__
+    if kept is None or kept[0] is not key:
+        kept = pub.__dict__[name] = (key, build())
+    return kept[1]
 
 
 def rst_greedy(instance: AttackInstance, max_iter: int = 200,
@@ -374,11 +366,12 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
     generator index so runs reproduce.
 
     The right factor of the candidate a = current s factors as
-    (w^-1 s^-1)(current^-1 target): the head w^-1 s^-1 is fixed for the
-    whole attack and the rest changes once per iteration, so a candidate
-    costs one product.  It also costs one lattice pass: the distance is 0
-    exactly when the point is a member (see ``subset_distance``), so only
-    a distance-0 candidate is certified.
+    (w^-1 s^-1)(current^-1 target).  w^-1, the steps (step i ^ 1 inverts
+    step i) and their heads w^-1 s^-1 are built once per point, the last
+    two after iteration 0; the rest changes once per iteration, so a
+    candidate costs one product.  It also costs one lattice pass: the
+    distance is 0 exactly when the point is a member (see
+    ``subset_distance``), so a distance-0 candidate is certified from it.
 
     A walk that lands on a normal form of ``rest`` it has visited before
     stops there with the result the whole budget would give.  Normal forms
@@ -400,19 +393,20 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
         return subset_distance(group, b_cand, gen_b,
                                _membership_window(b_cand, window))
 
-    steps = []
-    for gen in instance.gens_a:
-        steps.append(gen)
-        steps.append(gen.inverse())
-    w_inv = pub.w.inverse()
+    def walk() -> tuple:
+        steps = tuple(s for gen in instance.gens_a
+                      for s in (gen, gen.inverse()))
+        return steps, tuple(pub.w_inverse * steps[i ^ 1]
+                            for i in range(len(steps)))
+
     current = group.identity()
     rest = instance.target  # current^-1 target
 
-    b0 = w_inv * rest
+    b0 = pub.w_inverse * rest
     best = distance(b0)
-    if best == 0 and certified(current, b0):
+    if best == 0 and certified(current, b0, best):
         return AttackResult(True, (current, b0), 0, 0)
-    heads = [w_inv * step.inverse() for step in steps]
+    steps, heads = _kept(pub, "_walk", instance.gens_a, walk)
     seen = {(rest.p, rest.v, rest.q)}
     for it in range(1, max_iter + 1):
         scored = []
@@ -421,13 +415,13 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
             d = distance(b_cand)
             if d == 0:
                 a_cand = current * steps[idx]
-                if certified(a_cand, b_cand):
+                if certified(a_cand, b_cand, d):
                     return AttackResult(True, (a_cand, b_cand), it, 0)
             scored.append((d, idx))
         d0, idx0 = min(scored)
         best = min(best, d0)
         current = current * steps[idx0]
-        rest = steps[idx0].inverse() * rest
+        rest = steps[idx0 ^ 1] * rest
         state = (rest.p, rest.v, rest.q)
         if state in seen:
             break
@@ -443,24 +437,26 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     Each partial derivation is completed optimistically (remaining
     nonterminals replaced by their shortest terminal yields, which keeps
     the completion inside the language), inducing a left-factor candidate
-    whose right factor is scored by ``default_length``.  Success is
-    certified the same way as in the greedy attack.  ``iterations``
-    counts the expanded nodes.
+    whose right factor is scored by ``default_length``.  w^-1 and the
+    root's candidate a with its head w^-1 a^-1 are built once per point,
+    the other yields once per search.  Success is certified the same way as
+    in the greedy attack.  ``iterations`` counts the expanded nodes.
     """
     if beam < 1:
         raise ValueError("beam must be at least 1")
     pub = instance.pub
     grammar = pub.spec_a.grammar
+    nts = grammar._nt_set
     group = pub.group
     certified = _certifier(instance, window)
-    w_inv = pub.w.inverse()
+    w_inv = pub.w_inverse
 
     yield_cache: dict = {}
 
     def completion(form: tuple) -> tuple:
         out: list = []
         for sym in form:
-            if grammar.is_nonterminal(sym):
+            if sym in nts:
                 if sym not in yield_cache:
                     yield_cache[sym] = shortest_word(grammar, sym)
                 out.extend(yield_cache[sym])
@@ -468,14 +464,17 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
                 out.append(sym)
         return tuple(out)
 
-    def assess(form: tuple):
-        word = completion(form)
-        a_cand = group.evaluate(word)
-        b_cand = w_inv * a_cand.inverse() * instance.target
+    def candidate(form: tuple) -> tuple:
+        a_cand = group.evaluate(completion(form))
+        return a_cand, w_inv * a_cand.inverse()
+
+    def assess(a_cand: GroupElement, head: GroupElement):
+        b_cand = head * instance.target  # head = w^-1 a^-1
         return default_length(b_cand), a_cand, b_cand
 
     root = (grammar.start,)
-    s, a_cand, b_cand = assess(root)
+    s, a_cand, b_cand = assess(*_kept(pub, "_root", None,
+                                      lambda: candidate(root)))
     best = s
     if certified(a_cand, b_cand):
         return AttackResult(True, (a_cand, b_cand), 0, 0)
@@ -487,20 +486,18 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
         children = []
         for _, _, form in frontier:
             left = next(
-                (i for i, sym in enumerate(form) if grammar.is_nonterminal(sym)),
+                (i for i, sym in enumerate(form) if sym in nts),
                 None,
             )
             if left is None:
                 continue
             for rhs in grammar._productive_rules_by_lhs.get(form[left], ()):
                 child = form[:left] + rhs + form[left + 1:]
-                terminals = sum(
-                    1 for sym in child if not grammar.is_nonterminal(sym)
-                )
+                terminals = sum(1 for sym in child if sym not in nts)
                 if terminals > max_len:
                     continue
                 expanded += 1
-                s, a_cand, b_cand = assess(child)
+                s, a_cand, b_cand = assess(*candidate(child))
                 best = min(best, s)
                 if certified(a_cand, b_cand):
                     return AttackResult(True, (a_cand, b_cand), expanded, 0)
@@ -554,6 +551,12 @@ class GridPoint:
         """The left generators, built once per point."""
         return orbit_generators(self.group, self.u, self.gens_window)
 
+    @cached_property
+    def policy(self) -> SamplePolicy:
+        """Alice's sampling knobs, built once per point; trials reseed them."""
+        return SamplePolicy(max_length=self.max_length,
+                            depth_cap=self.depth_cap)
+
 
 def build_p1_instance(point: GridPoint, trial_seed: int) -> AttackInstance:
     """A genuine seeded protocol round packaged as an attack target.
@@ -566,9 +569,7 @@ def build_p1_instance(point: GridPoint, trial_seed: int) -> AttackInstance:
     the setup certified commutation.
     """
     pub = point.pub
-    policy = SamplePolicy(max_length=point.max_length,
-                          depth_cap=point.depth_cap,
-                          seed=derive_seed(trial_seed, "alice"))
+    policy = point.policy.with_seed(derive_seed(trial_seed, "alice"))
     alice = p1_draw(pub, policy, 1)
     return AttackInstance(pub, alice.a * pub.w * alice.b, point.gens_a,
                           point.v)

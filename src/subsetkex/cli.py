@@ -23,7 +23,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import serialize
@@ -194,7 +193,7 @@ def _p1_round(pub: dict, master: int):
     seeds = derive_seed(master, "alice"), derive_seed(master, "bob")
     policy = pub["policy"]
     return setup, seeds, protocols.p1_round(
-        setup, replace(policy, seed=seeds[0]), replace(policy, seed=seeds[1]))
+        setup, policy.with_seed(seeds[0]), policy.with_seed(seeds[1]))
 
 
 def cmd_params_gen(args) -> int:
@@ -306,11 +305,11 @@ def cmd_kex_p2(args) -> int:
     seed_x = derive_seed(master, "exchange")
     policy, krange = pub["policy"], pub["range"]
     alice = protocols.p2_party_setup(setup, pub["u_alice"],
-                                     replace(policy, seed=seed_a), krange)
+                                     policy.with_seed(seed_a), krange)
     bob = protocols.p2_party_setup(setup, pub["u_bob"],
-                                   replace(policy, seed=seed_b), krange)
+                                   policy.with_seed(seed_b), krange)
     _, msgs, keys = protocols.p2_exchange_full(
-        setup, alice, bob, replace(policy, seed=seed_x))
+        setup, alice, bob, policy.with_seed(seed_x))
     _emit_transcript(args, "p2", _public_block("p2", pub),
                      serialize.encode_element, msgs, keys,
                      {"master": master, "alice": seed_a, "bob": seed_b,
@@ -429,30 +428,23 @@ def cmd_attack_descent(args) -> int:
                        max_nodes=args.max_nodes, max_len=args.max_len)
 
 
+# the sweep grid used when ``attack sweep`` gets no ``--grid``
+_DEFAULT_GRID = (
+    dict(grid_id="abelian-m2", rows=((1, 0), (0, 1)), u=(1, 0), v=(0, 1),
+         w=(1, (1, 1), 0), max_length=8, max_iter=24, beam=4, max_nodes=96,
+         gens_window=0),
+    dict(grid_id="bs2", rows=((2,),), u=(1,), v=(1,), w=(1, (1,), 1),
+         max_length=10, max_iter=32, beam=4, max_nodes=128, gens_window=2),
+    dict(grid_id="m2-upper", rows=((2, 1), (0, 3)), u=(1, 0), v=(0, 1),
+         w=(1, (1, -1), 1), max_length=12, max_iter=32, beam=4,
+         max_nodes=128, gens_window=2),
+)
+
+
 def _default_grid() -> tuple:
-    """The sweep grid used when ``attack sweep`` gets no ``--grid``."""
     from . import attacks
 
-    return (
-        attacks.GridPoint(
-            grid_id="abelian-m2",
-            rows=((1, 0), (0, 1)),
-            u=(1, 0), v=(0, 1), w=(1, (1, 1), 0),
-            max_length=8, max_iter=24, beam=4, max_nodes=96, gens_window=0,
-        ),
-        attacks.GridPoint(
-            grid_id="bs2",
-            rows=((2,),),
-            u=(1,), v=(1,), w=(1, (1,), 1),
-            max_length=10, max_iter=32, beam=4, max_nodes=128, gens_window=2,
-        ),
-        attacks.GridPoint(
-            grid_id="m2-upper",
-            rows=((2, 1), (0, 3)),
-            u=(1, 0), v=(0, 1), w=(1, (1, -1), 1),
-            max_length=12, max_iter=32, beam=4, max_nodes=128, gens_window=2,
-        ),
-    )
+    return tuple(attacks.GridPoint(**point) for point in _DEFAULT_GRID)
 
 
 _GRID_REQUIRED = frozenset({"grid_id", "rows", "u", "v", "w"})
@@ -571,16 +563,38 @@ def _add_out(p):
     p.add_argument("--out", help="write output to FILE instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Stub:
+    """Takes a command family's subcommands and arguments, builds nothing."""
+
+    def add_parser(self, *args, **kwargs) -> "_Stub":
+        return self
+
+    add_subparsers = add_argument = set_defaults = add_parser
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser, with subcommands only for the family that argv names.
+
+    The family is the first argument that is not an option.  The others
+    stay help-only stubs, so the top-level help and usage errors read the
+    same whichever family is built.
+    """
     parser = argparse.ArgumentParser(
         prog="subsetkex",
         description="grammar-defined subsets, key exchange, and attacks "
                     "over HNN-extensions of free-abelian groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    wanted = next((a for a in argv if not a.startswith("-")), None)
 
-    p_params = sub.add_parser("params", help="group parameter tooling")
-    sp = p_params.add_subparsers(dest="sub", required=True)
+    def family(name: str, help_text: str):
+        built = sub.add_parser(name, help=help_text)
+        if name != wanted:
+            return _Stub()
+        return built.add_subparsers(dest="sub", required=True)
+
+
+    sp = family("params", "group parameter tooling")
     g = sp.add_parser("gen", help="random matrix with nonzero determinant")
     g.add_argument("--dim", type=int, default=2,
                    help=f"matrix dimension (1..{serialize.MAX_DIM})")
@@ -590,8 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(g)
     g.set_defaults(func=cmd_params_gen)
 
-    p_inst = sub.add_parser("instance", help="instance generation")
-    sp = p_inst.add_subparsers(dest="sub", required=True)
+    sp = family("instance", "instance generation")
     for name, fn in (("p1", cmd_instance_p1), ("p2", cmd_instance_p2)):
         pi = sp.add_parser(name)
         spi = pi.add_subparsers(dest="subsub", required=True)
@@ -609,8 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_out(gi)
         gi.set_defaults(func=fn)
 
-    p_kex = sub.add_parser("kex", help="protocol simulation")
-    sp = p_kex.add_subparsers(dest="sub", required=True)
+    sp = family("kex", "protocol simulation")
     for name, fn in (("p1", cmd_kex_p1), ("p2", cmd_kex_p2)):
         pk = sp.add_parser(name)
         spk = pk.add_subparsers(dest="subsub", required=True)
@@ -633,8 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(sim)
     sim.set_defaults(func=cmd_kex_orbit_dh)
 
-    p_gram = sub.add_parser("grammar", help="grammar tooling")
-    sp = p_gram.add_subparsers(dest="sub", required=True)
+    sp = family("grammar", "grammar tooling")
     g = sp.add_parser("orbit", help="conjugate-orbit grammar of a word")
     g.add_argument("--params", required=True)
     g.add_argument("--word", required=True, help='JSON word, e.g. \'["x1"]\'')
@@ -664,8 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(g)
     g.set_defaults(func=cmd_grammar_member)
 
-    p_att = sub.add_parser("attack", help="cryptanalysis")
-    sp = p_att.add_subparsers(dest="sub", required=True)
+    sp = family("attack", "cryptanalysis")
     a = sp.add_parser("rst", help="greedy generator-walk attack")
     a.add_argument("--instance", required=True)
     a.add_argument("--max-iter", type=_count, default=200)
@@ -691,8 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(a)
     a.set_defaults(func=cmd_attack_sweep)
 
-    p_self = sub.add_parser("selftest", help="randomized self-checks")
-    sp = p_self.add_subparsers(dest="sub", required=True)
+    sp = family("selftest", "randomized self-checks")
     s = sp.add_parser("oracle", help="oracle-equivalence suite")
     s.add_argument("--trials", type=_count, default=1000)
     s.add_argument("--seed", type=int, default=0)
@@ -702,7 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -35,22 +35,10 @@ from .groups import (
 )
 
 __all__ = [
-    "CFGrammar",
-    "SubsetSpec",
-    "SamplePolicy",
-    "GrammarError",
-    "SampleBudgetError",
-    "sample_grammar",
-    "cfg_membership",
-    "cfg_invert",
-    "cfg_union",
-    "cfg_star",
-    "cfg_closure",
-    "subgroup_closure",
-    "orbit_grammar",
-    "orbit_spec",
-    "shortest_word",
-    "RANGE_NATURALS",
+    "CFGrammar", "SubsetSpec", "SamplePolicy", "GrammarError",
+    "SampleBudgetError", "sample_grammar", "cfg_membership", "cfg_invert",
+    "cfg_union", "cfg_star", "cfg_closure", "subgroup_closure",
+    "orbit_grammar", "orbit_spec", "shortest_word", "RANGE_NATURALS",
     "RANGE_INTEGERS",
 ]
 
@@ -186,9 +174,15 @@ class CFGrammar:
             s in length or s not in self._nt_set for s in rhs))
 
     @cached_property
-    def _terminal_only_rules(self) -> dict:
-        return self._rules_where(lambda rhs: not any(
+    def _draws(self) -> dict:
+        """Sampler table: per productive lhs, its right-hand sides and their
+        terminal-only subset, each as (pool, size, bits of size) or None."""
+        finishers = self._rules_where(lambda rhs: not any(
             s in self._nt_set for s in rhs))
+        return {lhs: tuple((pool, len(pool), len(pool).bit_length())
+                           if pool else None
+                           for pool in (options, finishers.get(lhs)))
+                for lhs, options in self._productive_rules_by_lhs.items()}
 
     @cached_property
     def t_balanced(self) -> bool:
@@ -236,6 +230,12 @@ class SamplePolicy:
         if not 0 < bias.numerator <= bias.denominator:
             raise ValueError("terminal_bias must lie in (0, 1]")
 
+    def with_seed(self, seed: int) -> "SamplePolicy":
+        """This policy with another seed; its knobs are not checked again."""
+        policy = object.__new__(SamplePolicy)
+        policy.__dict__.update(self.__dict__, seed=seed)
+        return policy
+
 
 @dataclass(frozen=True)
 class SubsetSpec:
@@ -265,7 +265,10 @@ def sample_grammar(grammar: CFGrammar, policy: SamplePolicy) -> tuple:
 
     Deterministic in (grammar, policy): the policy seed starts a fresh
     generator.  Attempts that exceed ``max_length`` tokens are abandoned and
-    retried, up to a fixed budget.
+    retried, up to a fixed budget.  The sampler table is built once per
+    grammar; a pick draws what ``random.choice`` draws (``getrandbits`` of
+    the pool size's bit length until below the size, one-option pools too),
+    so the stream and every word are those of ``random.choice``.
     """
     rng = random.Random(policy.seed)
     for _ in range(_SAMPLE_ATTEMPTS):
@@ -279,36 +282,38 @@ def sample_grammar(grammar: CFGrammar, policy: SamplePolicy) -> tuple:
 
 
 def _derive_once(grammar, policy, rng) -> Optional[tuple]:
-    options_for = grammar._productive_rules_by_lhs
-    finishers_for = grammar._terminal_only_rules
+    """One attempt: a leftmost derivation, one iterator per expansion."""
+    draws = grammar._draws
     nts = grammar._nt_set
     max_length = policy.max_length
     depth_cap = policy.depth_cap
     bias = float(policy.terminal_bias)
+    getrandbits = rng.getrandbits
     out: list = []
-    stack = [(grammar.start, 0)]  # reversed sentential form, leftmost on top
+    frames = [(iter((grammar.start,)), 0)]  # (rest of a rhs, its depth)
     steps = 0
     budget = 16 * (max_length + depth_cap) + 64
-    while stack:
-        sym, depth = stack.pop()
-        if sym not in nts:
-            out.append(sym)
-            if len(out) > max_length:
+    while frames:
+        rhs, depth = frames[-1]
+        for sym in rhs:
+            if sym not in nts:
+                out.append(sym)
+                if len(out) > max_length:
+                    return None
+                continue
+            steps += 1
+            if steps > budget:
                 return None
-            continue
-        options = options_for.get(sym)
-        if not options:
-            return None
-        steps += 1
-        if steps > budget:
-            return None
-        pool = options
-        if depth > depth_cap:
-            finishers = finishers_for.get(sym)
-            if finishers and rng.random() < bias:
-                pool = finishers
-        depth += 1
-        stack.extend([(s, depth) for s in reversed(rng.choice(pool))])
+            (pool, n, bits), finishers = draws[sym]
+            if depth > depth_cap and finishers and rng.random() < bias:
+                pool, n, bits = finishers
+            pick = getrandbits(bits)
+            while pick >= n:
+                pick = getrandbits(bits)
+            frames.append((iter(pool[pick]), depth + 1))
+            break
+        else:
+            frames.pop()
     return tuple(out)
 
 
@@ -499,4 +504,3 @@ def shortest_word(grammar: CFGrammar, nt: Optional[str] = None) -> tuple:
         else:
             out.append(sym)
     return tuple(out)
-

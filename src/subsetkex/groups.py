@@ -45,17 +45,9 @@ from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
-    "IntMatrix",
-    "GroupParams",
-    "GroupElement",
-    "OracleElement",
-    "WordCapExceeded",
-    "default_length",
-    "make_token",
-    "invert_token",
-    "is_valid_token",
-    "token_dimension",
-    "word_inverse",
+    "IntMatrix", "GroupParams", "GroupElement", "OracleElement",
+    "WordCapExceeded", "default_length", "make_token", "invert_token",
+    "is_valid_token", "token_dimension", "word_inverse",
 ]
 
 Vec = tuple  # length-m tuple of int entries
@@ -323,7 +315,7 @@ class GroupParams:
         return (0,) * self.m
 
     def identity(self) -> "GroupElement":
-        return GroupElement(self, 0, self.zero(), 0)
+        return _reduced(self, 0, self.zero(), 0)
 
     def base(self, v: Iterable[int]) -> "GroupElement":
         """The base element with coordinate vector v."""
@@ -424,12 +416,14 @@ class GroupParams:
         |det M| = 1, where v M^-k = det^k v adj(M)^k is always integral.
         """
         k = min(p, q)
+        if not k:
+            return _reduced(self, p, v, q)
         det = self.det
-        if k and det in (1, -1):
+        if det in (1, -1):
             sign = det ** k
             v = tuple([sign * e for e in _vec_mat(v, self._power(-k))])
             p, q = p - k, q - k
-        elif k and not any(v):
+        elif not any(v):
             p, q = p - k, q - k
         while p > 0 and q > 0:
             w = self._preimage(v)
@@ -531,6 +525,10 @@ class GroupElement:
             raise ValueError("elements belong to different groups")
         p1, v1, q1 = self.p, self.v, self.q
         p2, v2, q2 = other.p, other.v, other.q
+        if not (p1 or q1 or any(v1)):  # the identity: no Britton test
+            return other
+        if not (p2 or q2 or any(v2)):
+            return self
         if q1 >= p2:
             k = q1 - p2
             if k:

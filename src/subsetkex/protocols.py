@@ -23,6 +23,7 @@ cannot escape.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .grammars import SamplePolicy, SubsetSpec, orbit_spec, subgroup_closure
@@ -30,22 +31,10 @@ from .groups import GroupElement, GroupParams
 from .seeding import derive_seed
 
 __all__ = [
-    "PublicParams1",
-    "PartySecret1",
-    "PublicParams2",
-    "Party2State",
-    "CommutationError",
-    "KeyAgreementError",
-    "commutation_spot_check",
-    "p1_setup",
-    "p1_draw",
-    "p1_round",
-    "p1_keys",
-    "p2_party_setup",
-    "p2_exchange",
-    "p2_exchange_full",
-    "orbit_dh",
-    "DEFAULT_EXP_BOUND",
+    "PublicParams1", "PartySecret1", "PublicParams2", "Party2State",
+    "CommutationError", "KeyAgreementError", "commutation_spot_check",
+    "p1_setup", "p1_draw", "p1_round", "p1_keys", "p2_party_setup",
+    "p2_exchange", "p2_exchange_full", "orbit_dh", "DEFAULT_EXP_BOUND",
 ]
 
 DEFAULT_EXP_BOUND = 1 << 20
@@ -65,6 +54,11 @@ class PublicParams1:
     w: GroupElement
     spec_a: SubsetSpec
     spec_b: SubsetSpec
+
+    @cached_property
+    def w_inverse(self) -> GroupElement:
+        """w^-1, built once per setup for the attacks that divide by w."""
+        return self.w.inverse()
 
 
 @dataclass(frozen=True)
@@ -98,9 +92,9 @@ def commutation_spot_check(spec_x: SubsetSpec, spec_y: SubsetSpec,
     """
     for i in range(trials):
         x = spec_x.sample_element(
-            replace(_CHECK_POLICY, seed=derive_seed(seed, "commute.x", i)))
+            _CHECK_POLICY.with_seed(derive_seed(seed, "commute.x", i)))
         y = spec_y.sample_element(
-            replace(_CHECK_POLICY, seed=derive_seed(seed, "commute.y", i)))
+            _CHECK_POLICY.with_seed(derive_seed(seed, "commute.y", i)))
         if x * y != y * x:
             raise CommutationError(
                 f"sampled cross pair fails to commute (trial {i})"
@@ -157,9 +151,9 @@ def p1_draw(pub: PublicParams1, policy: SamplePolicy,
     or not the other half is drawn.
     """
     a = pub.spec_a.sample_element(
-        replace(policy, seed=derive_seed(policy.seed, f"p1.a{index}")))
+        policy.with_seed(derive_seed(policy.seed, f"p1.a{index}")))
     b = pub.spec_b.sample_element(
-        replace(policy, seed=derive_seed(policy.seed, f"p1.b{index}")))
+        policy.with_seed(derive_seed(policy.seed, f"p1.b{index}")))
     return PartySecret1(a, b)
 
 
@@ -203,7 +197,7 @@ def p2_party_setup(pub: PublicParams2, u: Iterable[int], policy: SamplePolicy,
     if not spec.grammar.t_balanced:
         raise CommutationError("subset lacks the t-balance certificate")
     anchor = spec.sample_element(
-        replace(policy, seed=derive_seed(policy.seed, "p2.anchor")))
+        policy.with_seed(derive_seed(policy.seed, "p2.anchor")))
     return Party2State(anchor, spec)
 
 
@@ -216,9 +210,9 @@ def p2_exchange_full(pub: PublicParams2, alice: Party2State, bob: Party2State,
     K_B = b1 (a1 w a2) b2 agree exactly.
     """
     a2 = bob.published_spec.sample_element(
-        replace(policy, seed=derive_seed(policy.seed, "p2.a2")))
+        policy.with_seed(derive_seed(policy.seed, "p2.a2")))
     b1 = alice.published_spec.sample_element(
-        replace(policy, seed=derive_seed(policy.seed, "p2.b1")))
+        policy.with_seed(derive_seed(policy.seed, "p2.b1")))
     msg_a = alice.secret_anchor * pub.w * a2
     msg_b = b1 * pub.w * bob.secret_anchor
     k_a = alice.secret_anchor * msg_b * a2

@@ -4,7 +4,7 @@ Field order is fixed and emission is canonical (compact separators, no key
 sorting beyond construction order), so parse -> emit round-trips are
 byte-identical.  Big integers travel as decimal strings (ASCII
 ``0|-?[1-9][0-9]*``) inside element and vector encodings; matrix entries
-are plain JSON integers.  Objects with a duplicate key are refused.
+are plain JSON integers, never ``-0``; duplicate keys are refused.
 
     matrix   {"m":2,"rows":[[2,1],[0,3]]}
     element  {"p":1,"v":["3","-7"],"q":0}
@@ -41,26 +41,11 @@ from .grammars import CFGrammar, SamplePolicy
 from .groups import GroupElement, GroupParams, IntMatrix, is_valid_token
 
 __all__ = [
-    "MAX_STABLE_EXPONENT",
-    "MAX_WINDOW",
-    "MAX_MEMBER_WORD",
-    "MAX_DIM",
-    "SchemaError",
-    "dumps",
-    "loads",
-    "encode_matrix",
-    "decode_group",
-    "encode_vector",
-    "decode_vector",
-    "encode_element",
-    "decode_element",
-    "encode_word",
-    "decode_word",
-    "encode_grammar",
-    "decode_grammar",
-    "encode_policy",
-    "decode_policy",
-    "decode_window",
+    "MAX_STABLE_EXPONENT", "MAX_WINDOW", "MAX_MEMBER_WORD", "MAX_DIM",
+    "SchemaError", "dumps", "loads", "encode_matrix", "decode_group",
+    "encode_vector", "decode_vector", "encode_element", "decode_element",
+    "encode_word", "decode_word", "encode_grammar", "decode_grammar",
+    "encode_policy", "decode_policy", "decode_window",
 ]
 
 
@@ -86,9 +71,16 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+def _plain_int(text: str) -> int:
+    if text == "-0":  # json.loads would read it as 0 and it re-emits as 0
+        raise SchemaError("JSON integer -0 is not canonical")
+    return int(text)
+
+
 def loads(text: str):
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys,
+                          parse_int=_plain_int)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
 

@@ -128,6 +128,49 @@ def reference_window_lattice(matrix, gen, window):
     return lat
 
 
+def reference_derive_once(grammar, policy, rng):
+    """One sampling attempt as the sampler made it with ``random.choice``.
+
+    A stack of (symbol, depth) pairs holds the reversed sentential form;
+    past ``depth_cap`` a nonterminal with terminal-only rules picks among
+    them with probability ``terminal_bias``.  The sampler now reads a
+    per-grammar table and draws with ``getrandbits`` itself; this is the
+    construction it is checked against, word for word and draw for draw.
+    """
+    options_for = grammar._productive_rules_by_lhs
+    finishers_for = {}
+    for lhs, rhs in grammar.rules:
+        if not any(grammar.is_nonterminal(s) for s in rhs):
+            finishers_for.setdefault(lhs, []).append(rhs)
+    nts = grammar._nt_set
+    bias = float(policy.terminal_bias)
+    out = []
+    stack = [(grammar.start, 0)]
+    steps = 0
+    budget = 16 * (policy.max_length + policy.depth_cap) + 64
+    while stack:
+        sym, depth = stack.pop()
+        if sym not in nts:
+            out.append(sym)
+            if len(out) > policy.max_length:
+                return None
+            continue
+        options = options_for.get(sym)
+        if not options:
+            return None
+        steps += 1
+        if steps > budget:
+            return None
+        pool = options
+        if depth > policy.depth_cap:
+            finishers = finishers_for.get(sym)
+            if finishers and rng.random() < bias:
+                pool = finishers
+        depth += 1
+        stack.extend([(s, depth) for s in reversed(rng.choice(pool))])
+    return tuple(out)
+
+
 def reference_rst_greedy(instance, max_iter, window=None):
     """The three-product walk: a = current s, then b = w^-1 a^-1 target.
 

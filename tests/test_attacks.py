@@ -516,6 +516,53 @@ def test_rst_matches_three_product_reference():
     assert outcomes.count((False, True)) >= 20
 
 
+def test_single_residual_certificate_agrees():
+    # rst_greedy certifies a scored candidate from its distance alone; that
+    # must agree with lattice_member and with membership decided apart from
+    # the Babai residual (divisibility descent over the same window
+    # lattice), each joined with verify_break
+    rng = random.Random(23)
+    points = list(cli._default_grid())
+    points += [sweep_random_point(rng, i) for i in range(40)]
+    seen = set()
+    for n, point in enumerate(points):
+        pub, group, gen = point.pub, point.group, point.v
+        for trial in range(6):
+            policy = SamplePolicy(max_length=point.max_length,
+                                  seed=derive_seed(29, n, trial))
+            a = pub.spec_a.sample_element(policy.with_seed(policy.seed + 1))
+            b = pub.spec_b.sample_element(policy)
+            inst = AttackInstance(pub, a * pub.w * b, point.gens_a, gen)
+            certified = attacks._certifier(inst, point.window)
+            step = rng.choice(point.gens_a)
+            shifted = a * (step if rng.random() < 0.5 else step.inverse())
+            x = group.element(
+                rng.choice((0, 1)),
+                tuple(rng.randint(-2, 2) for _ in range(group.m)),
+                rng.choice((0, 1)))
+            for a_cand, b_cand in ((a, b), (a, b * x),
+                                   (shifted, pub.w_inverse * shifted.inverse()
+                                    * inst.target)):
+                win = attacks._membership_window(b_cand, point.window)
+                d, z = attacks._scaled_point(group, b_cand, win)
+                lattice = attacks._window_lattice(group.matrix, gen, win)
+                member = (d == 0 and z is not None
+                          and reference_contains(lattice, z))
+                breaks = member and verify_break(
+                    pub, inst.target, inst.target, a_cand, b_cand, a_cand,
+                    b_cand)
+                distance = subset_distance(group, b_cand, gen, win)
+                assert certified(a_cand, b_cand, distance) == breaks
+                assert certified(a_cand, b_cand) == breaks
+                verdict = lattice_member(group, b_cand, gen, win)
+                assert verdict.is_member == member
+                seen.add((member, breaks, any(z or ())))
+    # genuine breaks with nonzero points, members that do not break, and
+    # non-members all occur
+    assert {(True, True, True), (True, False, True),
+            (False, False, True)} <= seen
+
+
 def test_rst_stuck_walk_stops_early(monkeypatch):
     calls = []
     real = attacks.subset_distance

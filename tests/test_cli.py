@@ -176,6 +176,50 @@ def test_validation_exit_code(capsys, tmp_path):
     assert code == 2  # argparse usage error
 
 
+def test_minus_zero_params_exit_2(capsys, tmp_path):
+    bad = tmp_path / "p.json"
+    bad.write_text('{"m":2,"rows":[[2,-0],[0,3]]}')
+    code, out, err = run(capsys, "kex", "p1", "simulate", "--params", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: JSON integer -0 is not canonical\n"
+
+
+class EveryFamily(str):
+    """An argument that each command family takes for its own name."""
+
+    def __ne__(self, other):
+        return False
+
+    __hash__ = str.__hash__
+
+
+def test_parser_builds_only_the_named_family(capsys, monkeypatch):
+    def built(parser):
+        families = parser._subparsers._group_actions[0].choices
+        return {name for name, family in families.items()
+                if family._subparsers}
+
+    assert built(cli.build_parser(["attack", "rst"])) == {"attack"}
+    assert built(cli.build_parser(["-h"])) == set()
+    every = cli.build_parser([EveryFamily("any")])
+    assert built(every) == {"params", "instance", "kex", "grammar",
+                            "attack", "selftest"}
+    # help, usage errors and unknown commands read the same as with every
+    # family built
+    cases = [[], ["-h"], ["foo"], ["--foo", "attack", "rst"], ["attack"],
+             ["attack", "foo"], ["-h", "attack"], ["--", "kex", "p1", "-h"],
+             ["params", "gen", "--dim", "x"], ["selftest", "oracle", "-h"]]
+    cases += [[name, "-h"] for name in built(every)]
+    cases += [["attack", name, "-h"] for name in ("rst", "descent", "sweep")]
+    build = cli.build_parser
+    for argv in cases:
+        got = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser",
+                          lambda _: build([EveryFamily("any")]))
+            assert run(capsys, *argv) == got, argv
+
+
 def test_inputs_not_mutated(capsys, tmp_path, params_file):
     before = Path(params_file).read_bytes()
     run(capsys, "kex", "p1", "simulate", "--seed", "1", "--params", params_file)

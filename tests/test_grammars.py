@@ -29,6 +29,9 @@ from subsetkex import (
     subgroup_closure,
     word_inverse,
 )
+from subsetkex.grammars import _derive_once
+
+from conftest import reference_derive_once
 
 
 def enumerate_language(grammar, max_len, node_budget=200_000, start=None):
@@ -174,6 +177,83 @@ def test_sample_budget_error():
     g = CFGrammar(("S",), "S", (("S", tuple(["x1"] * 40)),))
     with pytest.raises(SampleBudgetError):
         sample_grammar(g, SamplePolicy(max_length=4, seed=0))
+
+
+def assert_sampler_matches_reference(grammar, policy):
+    """Word for word and draw for draw, then the whole sample."""
+    rng, ref = random.Random(policy.seed), random.Random(policy.seed)
+    word = None
+    for _ in range(64):
+        word = _derive_once(grammar, policy, rng)
+        assert word == reference_derive_once(grammar, policy, ref)
+        assert rng.getstate() == ref.getstate()
+        if word is not None:
+            break
+    if word is None:
+        with pytest.raises(SampleBudgetError):
+            sample_grammar(grammar, policy)
+    else:
+        assert sample_grammar(grammar, policy) == word
+
+
+@st.composite
+def sampler_case(draw):
+    """A grammar and a policy for the sampler cross-check.
+
+    Orbit grammars and their closures as the protocols publish them, or a
+    small random grammar (one-option pools among them).  Short length caps
+    make attempts fail and retry; low depth caps reach the terminal bias.
+    """
+    if draw(st.booleans()):
+        group = GroupParams(IntMatrix(((2, 1), (0, 3))))
+        word = draw(st.lists(st.sampled_from(("x1", "x2^-1", "t")),
+                             min_size=1, max_size=3))
+        grammar = orbit_grammar(group, word, draw(st.sampled_from(
+            (RANGE_NATURALS, RANGE_INTEGERS))))
+        if draw(st.booleans()):
+            grammar = subgroup_closure(SubsetSpec(grammar, group)).grammar
+    else:
+        nts = tuple(f"N{i}" for i in range(draw(st.integers(1, 3))))
+        symbols = st.sampled_from(nts + ("t", "t^-1", "x1", "x2^-1"))
+        rules = tuple(
+            (draw(st.sampled_from(nts)), tuple(draw(st.lists(symbols,
+                                                             max_size=4))))
+            for _ in range(draw(st.integers(1, 6))))
+        try:
+            grammar = CFGrammar(nts, "N0", rules)
+        except GrammarError:
+            assume(False)
+    policy = SamplePolicy(
+        max_length=draw(st.integers(1, 24)),
+        depth_cap=draw(st.integers(1, 6)),
+        terminal_bias=draw(st.fractions(Fraction(1, 64), 1)),
+        seed=draw(st.integers(0, (1 << 64) - 1)))
+    return grammar, policy
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampler_case())
+def test_sampler_matches_reference(case):
+    assert_sampler_matches_reference(*case)
+
+
+def test_sampler_reference_paths(bs2):
+    closure = subgroup_closure(orbit_spec(bs2, ("x1",), RANGE_INTEGERS))
+    one_option = CFGrammar(("S", "A"), "S",
+                           (("S", ("A", "t", "A")), ("A", ("x1",))))
+    long_words = CFGrammar(("S",), "S", (("S", tuple(["x1"] * 40)),))
+    for seed in range(60):
+        # past the depth cap, with and without the terminal bias
+        for bias in (Fraction(1, 3), 1):
+            assert_sampler_matches_reference(closure.grammar, SamplePolicy(
+                max_length=30, depth_cap=1, terminal_bias=bias, seed=seed))
+        # retries: most closure words are longer than 2 tokens
+        assert_sampler_matches_reference(
+            closure.grammar, SamplePolicy(max_length=2, seed=seed))
+        # every pool holds one option and still draws getrandbits(1)
+        assert_sampler_matches_reference(one_option, SamplePolicy(seed=seed))
+    # every attempt fails: SampleBudgetError after the same 64 attempts
+    assert_sampler_matches_reference(long_words, SamplePolicy(max_length=4))
 
 
 # ---------------------------------------------------------------------------

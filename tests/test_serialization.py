@@ -151,6 +151,19 @@ def test_duplicate_keys_refused(upper2):
         '{"p":0,"v":["1","2"],"q":1}')
 
 
+def test_plain_integer_minus_zero_refused():
+    # json.loads reads -0 as the int 0, which would be re-emitted as 0
+    for text in ('{"m":2,"rows":[[2,-0],[0,3]]}',
+                 '{"max_length":24,"depth_cap":4,"terminal_bias":"3/4",'
+                 '"seed":-0}',
+                 '{"p":-0,"v":["1","2"],"q":0}', "[-0]"):
+        with pytest.raises(SchemaError, match="-0 is not canonical"):
+            loads(text)
+    text = '{"m":2,"rows":[[2,0],[-10,-3]]}'
+    assert dumps(encode_matrix(decode_group(loads(text)))) == text
+    assert loads("[0,-1,10,-10,-0.0]") == [0, -1, 10, -10, 0.0]
+
+
 def test_vector_and_word(bs2):
     assert encode_vector((3, -7)) == ["3", "-7"]
     assert decode_vector(["3", "-7"]) == (3, -7)
