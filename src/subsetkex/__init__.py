@@ -38,7 +38,7 @@ _EXPORTS = {
         "p1_setup", "p2_exchange", "p2_exchange_full", "p2_party_setup",
     ),
     "attacks": (
-        "AttackInstance", "AttackResult", "GridPoint", "MEMBER",
+        "AttackInstance", "AttackPlan", "AttackResult", "GridPoint", "MEMBER",
         "MembershipVerdict", "NON_MEMBER_IN_WINDOW", "UNKNOWN",
         "build_p1_instance", "derivation_descent", "lattice_member",
         "rst_greedy", "run_experiments", "subset_distance", "verify_break",

@@ -49,10 +49,10 @@ from .seeding import derive_seed
 
 __all__ = [
     "MEMBER", "NON_MEMBER_IN_WINDOW", "UNKNOWN", "MembershipVerdict",
-    "AttackInstance", "AttackResult", "GridPoint", "lattice_member",
-    "subset_distance", "orbit_generators", "rst_greedy", "derivation_descent",
-    "verify_break", "build_p1_instance", "run_experiments", "zero_clock",
-    "CSV_HEADER",
+    "AttackPlan", "AttackInstance", "AttackResult", "GridPoint",
+    "lattice_member", "subset_distance", "orbit_generators", "rst_greedy",
+    "derivation_descent", "verify_break", "build_p1_instance",
+    "run_experiments", "zero_clock", "CSV_HEADER",
 ]
 
 MEMBER = "member"
@@ -270,23 +270,6 @@ def orbit_generators(group: GroupParams, u: Vec, window: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class AttackInstance:
-    """One cryptanalysis target: pub is the public data, target = a1 w b1.
-
-    ``gens_a`` switches on generator mode (a finite approximation of the
-    left subset, such as ``orbit_generators`` of the published u); when
-    None the grammar of pub.spec_a is attacked directly.  ``gen_b`` is the
-    published right orbit generator v, which certifies candidate right
-    factors.
-    """
-
-    pub: PublicParams1
-    target: GroupElement
-    gens_a: Optional[tuple]
-    gen_b: Vec
-
-
-@dataclass(frozen=True)
 class AttackResult:
     """What one search found; callers time the call themselves."""
 
@@ -324,35 +307,77 @@ def _membership_window(b: GroupElement, window: Optional[int]) -> int:
     return window if window is not None else b.p + b.q + 8
 
 
-def _certifier(instance: AttackInstance, window: Optional[int]):
-    """The break test ``certified(a, b, distance=None)``, built per search.
+@dataclass(frozen=True)
+class AttackPlan:
+    """The trial-invariant attack data of one point, shared by its trials.
 
-    It holds when b is a window-lattice member and the pair (a, b), used as
-    both cracks, passes ``verify_break``, which runs on every break.  A
-    caller that scored b with ``subset_distance`` passes that distance: it
-    is 0 exactly when ``lattice_member`` says "member" (both read the same
-    Babai residual), so the candidate costs one residual, not two.
+    ``pub`` is the p1 public data and ``gen_b`` the published right orbit
+    generator v, which certifies candidate right factors.  ``gens_a``
+    switches on generator mode (a finite approximation of the left subset,
+    such as ``orbit_generators`` of the published u); when None the grammar
+    of pub.spec_a is attacked directly.  w^-1, the greedy walk and the
+    descent root are built on first use and kept.
+
+    ``window`` is not a field: each search takes it, and nothing kept here
+    depends on it (window lattices are cached by matrix, see
+    ``_window_lattice``), so one plan serves every window.
     """
-    pub, target = instance.pub, instance.target
 
-    def certified(a_cand: GroupElement, b_cand: GroupElement,
+    pub: PublicParams1
+    gens_a: Optional[tuple]
+    gen_b: Vec
+
+    @classmethod
+    def p1(cls, group: GroupParams, u: Vec, v: Vec, w: GroupElement,
+           krange: str, gens_window: int) -> "AttackPlan":
+        """The plan of a p1 setup attacked through its orbit generators."""
+        return cls(p1_setup(group, u, v, w, krange),
+                   orbit_generators(group, u, gens_window), v)
+
+    @cached_property
+    def w_inverse(self) -> GroupElement:
+        return self.pub.w.inverse()
+
+    @cached_property
+    def walk(self) -> tuple:
+        """(steps, heads): step i ^ 1 inverts step i, head i = w^-1 s_i^-1."""
+        steps = tuple(s for gen in self.gens_a for s in (gen, gen.inverse()))
+        return steps, tuple(self.w_inverse * steps[i ^ 1]
+                            for i in range(len(steps)))
+
+    @cached_property
+    def root(self) -> tuple:
+        """(a, head): the left grammar's shortest word a and w^-1 a^-1."""
+        a = self.pub.group.evaluate(shortest_word(self.pub.spec_a.grammar))
+        return a, self.w_inverse * a.inverse()
+
+    def certified(self, target: GroupElement, a: GroupElement,
+                  b: GroupElement, window: Optional[int],
                   distance: Optional[int] = None) -> bool:
+        """Whether (a, b) breaks ``target``.
+
+        It holds when b is a window-lattice member and the pair, used as
+        both cracks, passes ``verify_break``, which runs on every break.  A
+        caller that scored b with ``subset_distance`` passes that distance:
+        it is 0 exactly when ``lattice_member`` says "member" (both read the
+        same Babai residual), so the candidate costs one residual, not two.
+        """
         member = distance == 0 if distance is not None else lattice_member(
-            pub.group, b_cand, instance.gen_b,
-            _membership_window(b_cand, window)).is_member
-        return member and verify_break(pub, target, target,
-                                       a_cand, b_cand, a_cand, b_cand)
-
-    return certified
+            self.pub.group, b, self.gen_b,
+            _membership_window(b, window)).is_member
+        return member and verify_break(self.pub, target, target, a, b, a, b)
 
 
-def _kept(pub: PublicParams1, name: str, key, build):
-    """``build()``, kept on ``pub`` (so once per point) for the last ``key``
-    asked for under ``name``; keys are compared by identity."""
-    kept = pub.__dict__.get(name)  # written past the frozen __setattr__
-    if kept is None or kept[0] is not key:
-        kept = pub.__dict__[name] = (key, build())
-    return kept[1]
+@dataclass(frozen=True)
+class AttackInstance:
+    """One cryptanalysis target: the point's plan and target = a1 w b1."""
+
+    plan: AttackPlan
+    target: GroupElement
+
+    @property
+    def pub(self) -> PublicParams1:
+        return self.plan.pub
 
 
 def rst_greedy(instance: AttackInstance, max_iter: int = 200,
@@ -366,12 +391,12 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
     generator index so runs reproduce.
 
     The right factor of the candidate a = current s factors as
-    (w^-1 s^-1)(current^-1 target).  w^-1, the steps (step i ^ 1 inverts
-    step i) and their heads w^-1 s^-1 are built once per point, the last
-    two after iteration 0; the rest changes once per iteration, so a
-    candidate costs one product.  It also costs one lattice pass: the
-    distance is 0 exactly when the point is a member (see
-    ``subset_distance``), so a distance-0 candidate is certified from it.
+    (w^-1 s^-1)(current^-1 target).  w^-1 and the steps with their heads
+    w^-1 s^-1 (``AttackPlan.walk``, built after iteration 0) are kept on
+    the plan; the rest changes once per iteration, so a candidate costs
+    one product.  It also costs one lattice pass: the distance is 0 exactly
+    when the point is a member (see ``subset_distance``), so a distance-0
+    candidate is certified from it.
 
     A walk that lands on a normal form of ``rest`` it has visited before
     stops there with the result the whole budget would give.  Normal forms
@@ -382,31 +407,23 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
     the replayed scores.  ``iterations`` still reports the budget
     ``max_iter``.
     """
-    if instance.gens_a is None:
+    plan, target = instance.plan, instance.target
+    if plan.gens_a is None:
         raise ValueError("rst_greedy needs generator mode (gens_a supplied)")
-    pub = instance.pub
-    group = pub.group
-    gen_b = instance.gen_b
-    certified = _certifier(instance, window)
+    group = plan.pub.group
 
     def distance(b_cand: GroupElement) -> int:
-        return subset_distance(group, b_cand, gen_b,
+        return subset_distance(group, b_cand, plan.gen_b,
                                _membership_window(b_cand, window))
 
-    def walk() -> tuple:
-        steps = tuple(s for gen in instance.gens_a
-                      for s in (gen, gen.inverse()))
-        return steps, tuple(pub.w_inverse * steps[i ^ 1]
-                            for i in range(len(steps)))
-
     current = group.identity()
-    rest = instance.target  # current^-1 target
+    rest = target  # current^-1 target
 
-    b0 = pub.w_inverse * rest
+    b0 = plan.w_inverse * rest
     best = distance(b0)
-    if best == 0 and certified(current, b0, best):
+    if best == 0 and plan.certified(target, current, b0, window, best):
         return AttackResult(True, (current, b0), 0, 0)
-    steps, heads = _kept(pub, "_walk", instance.gens_a, walk)
+    steps, heads = plan.walk
     seen = {(rest.p, rest.v, rest.q)}
     for it in range(1, max_iter + 1):
         scored = []
@@ -415,7 +432,7 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
             d = distance(b_cand)
             if d == 0:
                 a_cand = current * steps[idx]
-                if certified(a_cand, b_cand, d):
+                if plan.certified(target, a_cand, b_cand, window, d):
                     return AttackResult(True, (a_cand, b_cand), it, 0)
             scored.append((d, idx))
         d0, idx0 = min(scored)
@@ -437,19 +454,18 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     Each partial derivation is completed optimistically (remaining
     nonterminals replaced by their shortest terminal yields, which keeps
     the completion inside the language), inducing a left-factor candidate
-    whose right factor is scored by ``default_length``.  w^-1 and the
-    root's candidate a with its head w^-1 a^-1 are built once per point,
-    the other yields once per search.  Success is certified the same way as
-    in the greedy attack.  ``iterations`` counts the expanded nodes.
+    whose right factor is scored by ``default_length``.  The root's
+    candidate a with its head w^-1 a^-1 is kept on the plan
+    (``AttackPlan.root``), the other yields once per search.  Success is
+    certified the same way as in the greedy attack.  ``iterations`` counts
+    the expanded nodes.
     """
     if beam < 1:
         raise ValueError("beam must be at least 1")
-    pub = instance.pub
-    grammar = pub.spec_a.grammar
+    plan, target = instance.plan, instance.target
+    grammar = plan.pub.spec_a.grammar
     nts = grammar._nt_set
-    group = pub.group
-    certified = _certifier(instance, window)
-    w_inv = pub.w_inverse
+    group = plan.pub.group
 
     yield_cache: dict = {}
 
@@ -466,20 +482,18 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
 
     def candidate(form: tuple) -> tuple:
         a_cand = group.evaluate(completion(form))
-        return a_cand, w_inv * a_cand.inverse()
+        return a_cand, plan.w_inverse * a_cand.inverse()
 
     def assess(a_cand: GroupElement, head: GroupElement):
-        b_cand = head * instance.target  # head = w^-1 a^-1
+        b_cand = head * target  # head = w^-1 a^-1
         return default_length(b_cand), a_cand, b_cand
 
-    root = (grammar.start,)
-    s, a_cand, b_cand = assess(*_kept(pub, "_root", None,
-                                      lambda: candidate(root)))
+    s, a_cand, b_cand = assess(*plan.root)
     best = s
-    if certified(a_cand, b_cand):
+    if plan.certified(target, a_cand, b_cand, window):
         return AttackResult(True, (a_cand, b_cand), 0, 0)
 
-    frontier = [(s, 0, root)]
+    frontier = [(s, 0, (grammar.start,))]
     expanded = 0
     tiebreak = 1
     while frontier and expanded < max_nodes:
@@ -499,7 +513,7 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
                 expanded += 1
                 s, a_cand, b_cand = assess(*candidate(child))
                 best = min(best, s)
-                if certified(a_cand, b_cand):
+                if plan.certified(target, a_cand, b_cand, window):
                     return AttackResult(True, (a_cand, b_cand), expanded, 0)
                 children.append((s, tiebreak, child))
                 tiebreak += 1
@@ -540,16 +554,11 @@ class GridPoint:
         return GroupParams(IntMatrix(self.rows))
 
     @cached_property
-    def pub(self) -> PublicParams1:
-        """The p1 setup, built once per point and shared by its trials."""
+    def plan(self) -> AttackPlan:
+        """The p1 setup and its attack data, shared by the point's trials."""
         group = self.group
-        return p1_setup(group, self.u, self.v, group.element(*self.w),
-                        self.krange)
-
-    @cached_property
-    def gens_a(self) -> tuple:
-        """The left generators, built once per point."""
-        return orbit_generators(self.group, self.u, self.gens_window)
+        return AttackPlan.p1(group, self.u, self.v, group.element(*self.w),
+                             self.krange, self.gens_window)
 
     @cached_property
     def policy(self) -> SamplePolicy:
@@ -565,14 +574,12 @@ def build_p1_instance(point: GridPoint, trial_seed: int) -> AttackInstance:
     (``p1_draw``, two draws seeded from ``derive_seed(trial_seed,
     "alice")``) and her message a1 w b1 as the target.  Bob's half is not
     drawn; it would not change a byte of the target.  The public data is
-    the point's ``pub`` and ``gens_a``, built once, and its published v;
-    the setup certified commutation.
+    the point's ``plan``, built once; the setup certified commutation.
     """
-    pub = point.pub
+    plan = point.plan
     policy = point.policy.with_seed(derive_seed(trial_seed, "alice"))
-    alice = p1_draw(pub, policy, 1)
-    return AttackInstance(pub, alice.a * pub.w * alice.b, point.gens_a,
-                          point.v)
+    alice = p1_draw(plan.pub, policy, 1)
+    return AttackInstance(plan, alice.a * plan.pub.w * alice.b)
 
 
 def _run_one(point: GridPoint, mode: str, trial_seed: int) -> AttackResult:

@@ -242,18 +242,17 @@ def _decode_instance_p1(obj):
     p + q + 8 from its own exponents, and the lattice work grows faster
     than linearly in it.
     """
-    from . import attacks, protocols
+    from . import attacks
 
     pub, _, gens_window = _read_instance(obj, "p1")
     group = pub["group"]
-    setup = protocols.p1_setup(group, pub["u"], pub["v"], pub["w"],
-                               pub["range"])
-    gens_a = attacks.orbit_generators(group, pub["u"], gens_window)
+    plan = attacks.AttackPlan.p1(group, pub["u"], pub["v"], pub["w"],
+                                 pub["range"], gens_window)
     target = serialize.decode_element(group, obj["target"])
     if max(target.p, target.q) > serialize.MAX_WINDOW:
         raise SchemaError(
             f"target stable exponents exceed {serialize.MAX_WINDOW}")
-    return attacks.AttackInstance(setup, target, gens_a, pub["v"])
+    return attacks.AttackInstance(plan, target)
 
 
 # ---------------------------------------------------------------------------

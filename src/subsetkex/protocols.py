@@ -23,7 +23,6 @@ cannot escape.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .grammars import SamplePolicy, SubsetSpec, orbit_spec, subgroup_closure
@@ -54,11 +53,6 @@ class PublicParams1:
     w: GroupElement
     spec_a: SubsetSpec
     spec_b: SubsetSpec
-
-    @cached_property
-    def w_inverse(self) -> GroupElement:
-        """w^-1, built once per setup for the attacks that divide by w."""
-        return self.w.inverse()
 
 
 @dataclass(frozen=True)

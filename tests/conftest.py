@@ -181,7 +181,7 @@ def reference_rst_greedy(instance, max_iter, window=None):
     """
     pub = instance.pub
     group = pub.group
-    gen_b = instance.gen_b
+    gen_b = instance.plan.gen_b
 
     def win(b):
         return window if window is not None else b.p + b.q + 8
@@ -194,7 +194,7 @@ def reference_rst_greedy(instance, max_iter, window=None):
     def induced(a):
         return pub.w.inverse() * a.inverse() * instance.target
 
-    steps = [s for gen in instance.gens_a for s in (gen, gen.inverse())]
+    steps = [s for gen in instance.plan.gens_a for s in (gen, gen.inverse())]
     current = group.identity()
     b0 = induced(current)
     if certified(current, b0):

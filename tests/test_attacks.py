@@ -1,7 +1,9 @@
 """Attack harness: lattice certificates, greedy walks, beam descent, sweeps."""
 
+import gc
 import itertools
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from subsetkex import (
     AttackInstance,
+    AttackPlan,
     AttackResult,
     CFGrammar,
     CommutationError,
@@ -326,10 +329,19 @@ def test_build_p1_instance_cold_or_warm(monkeypatch):
     warm = build_p1_instance(shared, 4)
     assert warm == cold == build_p1_instance(point(), 4)
     assert cold.target != cold.pub.w  # the secrets are not the identity
-    assert warm.pub is cold.pub is shared.pub  # built once per point
-    assert warm.gens_a is cold.gens_a
+    assert warm.plan is cold.plan is shared.plan  # built once per point
     assert cold.pub.group is shared.group
     assert build_p1_instance(shared, 0) != cold  # the draws are per trial
+    # the walk and the root are built by the first search that reads them,
+    # then kept for the point's later trials
+    plan = shared.plan
+    kept = []
+    for trial in (0, 9):
+        searched = rst_greedy(build_p1_instance(shared, trial), max_iter=8)
+        assert searched.iterations > 0  # the walk was read
+        derivation_descent(build_p1_instance(shared, trial), max_nodes=16)
+        kept.append((plan.walk, plan.root))
+    assert kept[1][0] is kept[0][0] and kept[1][1] is kept[0][1]
 
 
 def full_round_instance(point, seed):
@@ -349,7 +361,7 @@ def full_round_instance(point, seed):
                  if k >= 0 else
                  group.evaluate(("t",) * -k + u_word + ("t^-1",) * -k)
                  for k in range(-point.gens_window, point.gens_window + 1))
-    return AttackInstance(pub, msg_a, gens, point.v)
+    return AttackInstance(AttackPlan(pub, gens, point.v), msg_a)
 
 
 def test_build_p1_instance_is_alices_round_message():
@@ -410,10 +422,11 @@ def test_published_generators_in_grammars():
         point = replace(point, krange=krange)
         inst = build_p1_instance(point, derive_seed(31, point.grid_id))
         group, pub = point.group, inst.pub
-        assert inst.gen_b == point.v and inst.gens_a == point.gens_a, point
+        plan = inst.plan
+        assert plan.gen_b == point.v and plan.gens_a == point.plan.gens_a, point
         assert cfg_membership(group.base(point.u).to_word(),
                               pub.spec_a.grammar), point
-        assert cfg_membership(group.base(inst.gen_b).to_word(),
+        assert cfg_membership(group.base(plan.gen_b).to_word(),
                               pub.spec_b.grammar), point
 
 
@@ -454,7 +467,7 @@ def test_rst_iteration_budget_vs_secret_length(flat2):
         alice, msg_a, _, _ = p1_round(pub, policy,
                                       SamplePolicy(max_length=4, depth_cap=2,
                                                    seed=10_000 + seed))
-        inst = AttackInstance(pub, msg_a, (flat2.base((1, 0)),), (0, 1))
+        inst = AttackInstance(AttackPlan(pub, (flat2.base((1, 0)),), (0, 1)), msg_a)
         result = rst_greedy(inst, max_iter=16)
         assert result.success
         assert result.iterations <= default_length(alice.a) + 1
@@ -463,7 +476,7 @@ def test_rst_iteration_budget_vs_secret_length(flat2):
 def test_rst_trivial_target_iteration_zero(flat2):
     w = flat2.element(1, (1, 1), 0)
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
-    inst = AttackInstance(pub, w, (flat2.base((1, 0)),), (0, 1))
+    inst = AttackInstance(AttackPlan(pub, (flat2.base((1, 0)),), (0, 1)), w)
     result = rst_greedy(inst, max_iter=16)
     assert result.success and result.iterations == 0
     assert result.recovered[0].is_identity()
@@ -474,7 +487,8 @@ def test_rst_max_iter_zero_no_false_success(flat2):
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
     # target needs two generator steps, so the iteration-0 check must fail
     target = flat2.base((2, 0)) * w
-    inst = AttackInstance(pub, target, (flat2.base((1, 0)),), (0, 1))
+    inst = AttackInstance(AttackPlan(pub, (flat2.base((1, 0)),), (0, 1)),
+                          target)
     result = rst_greedy(inst, max_iter=0)
     assert not result.success
     assert result.recovered is None and result.iterations == 0
@@ -487,7 +501,8 @@ def test_rst_one_generator_factor_per_iteration(flat2):
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
     for s in (1, 2, 3):
         target = flat2.base((s, 0)) * w * flat2.base((0, 2))
-        inst = AttackInstance(pub, target, (flat2.base((1, 0)),), (0, 1))
+        inst = AttackInstance(AttackPlan(pub, (flat2.base((1, 0)),), (0, 1)),
+                              target)
         result = rst_greedy(inst, max_iter=10)
         assert result.success and result.iterations == s
         assert result.recovered[0] == flat2.base((s, 0))
@@ -526,34 +541,35 @@ def test_single_residual_certificate_agrees():
     points += [sweep_random_point(rng, i) for i in range(40)]
     seen = set()
     for n, point in enumerate(points):
-        pub, group, gen = point.pub, point.group, point.v
+        plan, group, gen = point.plan, point.group, point.v
+        pub = plan.pub
         for trial in range(6):
             policy = SamplePolicy(max_length=point.max_length,
                                   seed=derive_seed(29, n, trial))
             a = pub.spec_a.sample_element(policy.with_seed(policy.seed + 1))
             b = pub.spec_b.sample_element(policy)
-            inst = AttackInstance(pub, a * pub.w * b, point.gens_a, gen)
-            certified = attacks._certifier(inst, point.window)
-            step = rng.choice(point.gens_a)
+            target = a * pub.w * b
+            step = rng.choice(plan.gens_a)
             shifted = a * (step if rng.random() < 0.5 else step.inverse())
             x = group.element(
                 rng.choice((0, 1)),
                 tuple(rng.randint(-2, 2) for _ in range(group.m)),
                 rng.choice((0, 1)))
             for a_cand, b_cand in ((a, b), (a, b * x),
-                                   (shifted, pub.w_inverse * shifted.inverse()
-                                    * inst.target)):
+                                   (shifted, plan.w_inverse * shifted.inverse()
+                                    * target)):
                 win = attacks._membership_window(b_cand, point.window)
                 d, z = attacks._scaled_point(group, b_cand, win)
                 lattice = attacks._window_lattice(group.matrix, gen, win)
                 member = (d == 0 and z is not None
                           and reference_contains(lattice, z))
                 breaks = member and verify_break(
-                    pub, inst.target, inst.target, a_cand, b_cand, a_cand,
-                    b_cand)
+                    pub, target, target, a_cand, b_cand, a_cand, b_cand)
                 distance = subset_distance(group, b_cand, gen, win)
-                assert certified(a_cand, b_cand, distance) == breaks
-                assert certified(a_cand, b_cand) == breaks
+                assert plan.certified(target, a_cand, b_cand, point.window,
+                                      distance) == breaks
+                assert plan.certified(target, a_cand, b_cand,
+                                      point.window) == breaks
                 verdict = lattice_member(group, b_cand, gen, win)
                 assert verdict.is_member == member
                 seen.add((member, breaks, any(z or ())))
@@ -561,6 +577,21 @@ def test_single_residual_certificate_agrees():
     # non-members all occur
     assert {(True, True, True), (True, False, True),
             (False, False, True)} <= seen
+
+
+def test_dropped_points_pin_no_group():
+    # the per-point caches live on the point and its plan, and the module
+    # caches are keyed on matrices and words, so a dropped point frees its
+    # group and its public data
+    rng = random.Random(47)
+    refs = []
+    for i in range(20):
+        point = sweep_random_point(rng, i)
+        run_experiments([point], 2, i)  # rst and descent, two trials each
+        refs += [weakref.ref(point.group), weakref.ref(point.plan.pub)]
+    del point
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 def test_rst_stuck_walk_stops_early(monkeypatch):
@@ -597,7 +628,7 @@ def test_rst_requires_generator_mode(flat2):
     w = flat2.element(1, (1, 1), 0)
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
     with pytest.raises(ValueError):
-        rst_greedy(AttackInstance(pub, w, None, (0, 1)))
+        rst_greedy(AttackInstance(AttackPlan(pub, None, (0, 1)), w))
 
 
 def test_rst_deterministic(flat2):
@@ -614,7 +645,7 @@ def test_rst_deterministic(flat2):
 def test_descent_trivial_target(flat2):
     w = flat2.element(1, (1, 1), 0)
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
-    inst = AttackInstance(pub, w, None, (0, 1))
+    inst = AttackInstance(AttackPlan(pub, None, (0, 1)), w)
     result = derivation_descent(inst, beam=4, max_nodes=64, max_len=8)
     assert result.success and result.iterations == 0
     assert result.recovered[0].is_identity()
@@ -641,8 +672,8 @@ def test_descent_depth_one_found_with_wide_beam(upper2):
     b1 = upper2.base((0, 2)).conj_t(1)
     target = a1 * w * b1
     result = derivation_descent(
-        AttackInstance(pub, target, None, (0, 1)), beam=3, max_nodes=64,
-        max_len=8)
+        AttackInstance(AttackPlan(pub, None, (0, 1)), target), beam=3,
+        max_nodes=64, max_len=8)
     assert result.success
     a, b = result.recovered
     assert a * w * b == target

@@ -285,7 +285,7 @@ def test_readme_commands_never_spot_check(capsys, params_file, monkeypatch):
     assert all(code == 0 and out for code, out, _ in expect)
     monkeypatch.undo()
     for point in cli._default_grid():  # the reference still passes
-        pub = point.pub
+        pub = point.plan.pub
         protocols.commutation_spot_check(pub.spec_a, pub.spec_b, trials=8)
 
 
@@ -527,6 +527,34 @@ def test_attack_target_exponents_capped(capsys, tmp_path, p1_instance):
             code, out, err = run(capsys, "attack", attack, *with_target(p, q))
             assert (code, out) == (2, "")
             assert err == f"error: target stable exponents exceed {cap}\n"
+
+
+def test_attack_instance_built_the_sweep_way(capsys, tmp_path, params_file):
+    """`attack rst` attacks the plan that the sweep's constructor builds."""
+    path = tmp_path / "inst.json"
+    for seed, searched in (("4", True), ("5", False)):
+        assert main(["instance", "p1", "gen", "--params", params_file,
+                     "--seed", seed, "--max-len", "8", "--out",
+                     str(path)]) == 0
+        obj = json.loads(path.read_text())
+        pub, _, gens_window = cli._read_instance(obj, "p1")
+        plan = attacks.AttackPlan.p1(pub["group"], pub["u"], pub["v"],
+                                     pub["w"], pub["range"], gens_window)
+        assert cli._decode_instance_p1(obj).plan == plan
+        target = serialize.decode_element(pub["group"], obj["target"])
+        result = attacks.rst_greedy(attacks.AttackInstance(plan, target),
+                                    max_iter=30)
+        assert (result.iterations > 0) == searched
+        code, out, _ = run(capsys, "attack", "rst", "--instance", str(path),
+                           "--max-iter", "30")
+        assert code == 0
+        got = json.loads(out)
+        recovered = result.recovered and {
+            "a": serialize.encode_element(result.recovered[0]),
+            "b": serialize.encode_element(result.recovered[1])}
+        assert (got["success"], got["iterations"], got["best_score"],
+                got["recovered"]) == (result.success, result.iterations,
+                                      str(result.best_score), recovered)
 
 
 def test_grammar_member_word_capped(capsys, tmp_path, params_file):

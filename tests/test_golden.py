@@ -87,7 +87,8 @@ def sweep_transcript() -> str:
         "grid_id", "mode", "trial", "success", "iterations", "best_score"))
         for r in records]
     for point in _default_grid():
-        for side, spec in (("a", point.pub.spec_a), ("b", point.pub.spec_b)):
+        pub = point.plan.pub
+        for side, spec in (("a", pub.spec_a), ("b", pub.spec_b)):
             for seed in range(20):
                 policy = SamplePolicy(max_length=point.max_length,
                                       depth_cap=2, seed=seed)
