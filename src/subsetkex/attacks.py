@@ -41,6 +41,7 @@ from .groups import (
     IntMatrix,
     OracleElement,
     Vec,
+    _Value,
     _vec_mat,
     default_length,
 )
@@ -172,11 +173,13 @@ def _window_lattice(matrix: IntMatrix, gen: Vec, window: int) -> _EchelonLattice
     return lat
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(_Value):
     """Outcome of a window-lattice membership query."""
 
-    value: str
+    _fields = ("value",)
+
+    def __init__(self, value: str):
+        self.__dict__["value"] = value
 
     @property
     def is_member(self) -> bool:
@@ -307,8 +310,7 @@ def _membership_window(b: GroupElement, window: Optional[int]) -> int:
     return window if window is not None else b.p + b.q + 8
 
 
-@dataclass(frozen=True)
-class AttackPlan:
+class AttackPlan(_Value):
     """The trial-invariant attack data of one point, shared by its trials.
 
     ``pub`` is the p1 public data and ``gen_b`` the published right orbit
@@ -323,9 +325,11 @@ class AttackPlan:
     ``_window_lattice``), so one plan serves every window.
     """
 
-    pub: PublicParams1
-    gens_a: Optional[tuple]
-    gen_b: Vec
+    _fields = ("pub", "gens_a", "gen_b")
+
+    def __init__(self, pub: PublicParams1, gens_a: Optional[tuple],
+                 gen_b: Vec):
+        self.__dict__.update(pub=pub, gens_a=gens_a, gen_b=gen_b)
 
     @classmethod
     def p1(cls, group: GroupParams, u: Vec, v: Vec, w: GroupElement,
@@ -368,12 +372,13 @@ class AttackPlan:
         return member and verify_break(self.pub, target, target, a, b, a, b)
 
 
-@dataclass(frozen=True)
-class AttackInstance:
+class AttackInstance(_Value):
     """One cryptanalysis target: the point's plan and target = a1 w b1."""
 
-    plan: AttackPlan
-    target: GroupElement
+    _fields = ("plan", "target")
+
+    def __init__(self, plan: AttackPlan, target: GroupElement):
+        self.__dict__.update(plan=plan, target=target)
 
     @property
     def pub(self) -> PublicParams1:

@@ -29,6 +29,7 @@ from .groups import (
     TOKEN_STABLE_INV,
     GroupElement,
     GroupParams,
+    _Value,
     invert_token,
     is_valid_token,
     token_dimension,
@@ -66,8 +67,7 @@ def _t_sum(rhs, balance: dict) -> int:
     return sum(balance[s] if s in balance else _T_BALANCE.get(s, 0) for s in rhs)
 
 
-@dataclass(frozen=True)
-class CFGrammar:
+class CFGrammar(_Value):
     """Context-free grammar with declared nonterminals and token terminals.
 
     Any rhs symbol matching a declared nonterminal is a nonterminal; all
@@ -75,20 +75,17 @@ class CFGrammar:
     symbol must be productive (the language must be nonempty).
     """
 
-    nonterminals: tuple
-    start: str
-    rules: tuple
+    _fields = ("nonterminals", "start", "rules")
 
-    def __post_init__(self):
-        nts = tuple(str(n) for n in self.nonterminals)
-        object.__setattr__(self, "nonterminals", nts)
+    def __init__(self, nonterminals: tuple, start: str, rules: tuple):
+        nts = tuple(str(n) for n in nonterminals)
         if len(set(nts)) != len(nts):
             raise GrammarError("duplicate nonterminal declaration")
-        if self.start not in nts:
-            raise GrammarError(f"start symbol {self.start!r} is not declared")
+        if start not in nts:
+            raise GrammarError(f"start symbol {start!r} is not declared")
         nt_set = set(nts)
-        rules = []
-        for lhs, rhs in self.rules:
+        checked = []
+        for lhs, rhs in rules:
             if lhs not in nt_set:
                 raise GrammarError(f"rule lhs {lhs!r} is not a declared nonterminal")
             rhs = tuple(str(s) for s in rhs)
@@ -97,9 +94,9 @@ class CFGrammar:
                     raise GrammarError(
                         f"rhs symbol {s!r} is neither a nonterminal nor a token"
                     )
-            rules.append((lhs, rhs))
-        object.__setattr__(self, "rules", tuple(rules))
-        if self.start not in self.productive:
+            checked.append((lhs, rhs))
+        self.__dict__.update(nonterminals=nts, start=start, rules=tuple(checked))
+        if start not in self.productive:
             raise GrammarError("start symbol is unproductive: language is empty")
 
     @cached_property
@@ -237,20 +234,19 @@ class SamplePolicy:
         return policy
 
 
-@dataclass(frozen=True)
-class SubsetSpec:
+class SubsetSpec(_Value):
     """A grammar bound to its ambient group: the carrier of a subset of G."""
 
-    grammar: CFGrammar
-    group: GroupParams
+    _fields = ("grammar", "group")
 
-    def __post_init__(self):
-        if self.grammar._rank <= self.group.m:
+    def __init__(self, grammar: CFGrammar, group: GroupParams):
+        self.__dict__.update(grammar=grammar, group=group)
+        if grammar._rank <= group.m:
             return
-        for tok in self.grammar.terminals:
-            if token_dimension(tok) > self.group.m:
+        for tok in grammar.terminals:
+            if token_dimension(tok) > group.m:
                 raise ValueError(
-                    f"terminal {tok!r} is outside the rank-{self.group.m} alphabet"
+                    f"terminal {tok!r} is outside the rank-{group.m} alphabet"
                 )
 
     def sample(self, policy: SamplePolicy) -> tuple:

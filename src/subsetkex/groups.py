@@ -38,7 +38,6 @@ Only t^-1 with q = 0 < p can cancel, and it costs one preimage test.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
@@ -172,6 +171,42 @@ def _bareiss_adjugate(rows: Sequence[Sequence[int]]) -> tuple:
     return sign * prev, tuple(tuple(sign * e for e in row[n:]) for row in a)
 
 
+class _Value:
+    """Base of the immutable value classes, which generate no code.
+
+    A subclass lists its fields in ``_fields`` and stores them in its own
+    ``__init__`` through ``__dict__``.  Instances compare, hash and print
+    as frozen dataclasses do: equal when of one class with equal fields,
+    hashed as the tuple of field values, shown as ``Name(field=...)``.
+    Attributes cannot be set or deleted; ``cached_property`` still caches,
+    since it writes ``__dict__`` directly.
+    """
+
+    _fields: tuple  # set by every subclass: its field names, in order
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        fields = ", ".join(f"{f}={d[f]!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _mat_mul_rows(a, b) -> tuple:
     bt = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
@@ -181,15 +216,14 @@ def _identity_rows(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Value):
     """Square integer matrix with nonzero determinant (checked on build)."""
 
-    rows: tuple
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple):
+        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        self.__dict__["rows"] = rows
         n = len(rows)
         if n == 0:
             raise ValueError("matrix must have positive dimension")
@@ -197,6 +231,17 @@ class IntMatrix:
             raise ValueError("matrix must be square")
         if self.det == 0:
             raise ValueError("matrix determinant must be nonzero")
+
+    # written out here and in GroupParams and GroupElement, with the values
+    # the generic methods give: the window-lattice cache hashes matrices,
+    # and element comparisons reach all three
+    def __eq__(self, other):
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @property
     def dim(self) -> int:
@@ -254,7 +299,7 @@ def _trusted_matrix(rows: tuple) -> IntMatrix:
     still computed on first use.
     """
     mat = object.__new__(IntMatrix)
-    mat.__dict__["rows"] = rows  # bypasses frozen __setattr__
+    mat.__dict__["rows"] = rows  # skips __init__ and its checks
     return mat
 
 
@@ -274,8 +319,7 @@ def _vec_neg(a: Vec) -> Vec:
 # the group
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(_Value):
     """Ambient group data: the base dimension and the matrix action.
 
     The dimension, determinant and adjugate are resolved once per group and
@@ -283,7 +327,18 @@ class GroupParams:
     (division by det) rather than rational matrix inversion.
     """
 
-    matrix: IntMatrix
+    _fields = ("matrix",)
+
+    def __init__(self, matrix: IntMatrix):
+        self.__dict__["matrix"] = matrix
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupParams:
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash((self.matrix,))
 
     @cached_property
     def m(self) -> int:
@@ -481,7 +536,7 @@ class GroupParams:
 def _reduced(group: GroupParams, p: int, v: Vec, q: int) -> "GroupElement":
     """Trusted constructor: wraps a triple already known to be reduced."""
     g = object.__new__(GroupElement)
-    d = g.__dict__  # bypasses frozen __setattr__
+    d = g.__dict__  # skips __init__ and its reducedness test
     d["group"] = group
     d["p"] = p
     d["v"] = v
@@ -489,33 +544,36 @@ def _reduced(group: GroupParams, p: int, v: Vec, q: int) -> "GroupElement":
     return g
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """Britton-reduced normal form t^p v t^-q.
 
     Direct construction insists on reducedness; use ``GroupParams.element``
     to normalise arbitrary triples.
     """
 
-    group: GroupParams
-    p: int
-    v: Vec
-    q: int
+    _fields = ("group", "p", "v", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", tuple(int(e) for e in self.v))
-        if self.p < 0 or self.q < 0:
+    def __init__(self, group: GroupParams, p: int, v: Vec, q: int):
+        v = tuple(int(e) for e in v)
+        self.__dict__.update(group=group, p=p, v=v, q=q)
+        if p < 0 or q < 0:
             raise ValueError("stable exponents must be nonnegative")
-        if len(self.v) != self.group.m:
+        if len(v) != group.m:
             raise ValueError("vector dimension mismatch")
-        if (
-            self.p > 0
-            and self.q > 0
-            and self.group._preimage(self.v) is not None
-        ):
+        if p > 0 and q > 0 and group._preimage(v) is not None:
             raise ValueError(
                 "triple is not Britton-reduced; use GroupParams.element"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return ((self.group is other.group or self.group == other.group)
+                and self.p == other.p and self.v == other.v
+                and self.q == other.q)
+
+    def __hash__(self):
+        return hash((self.group, self.p, self.v, self.q))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
@@ -588,21 +646,19 @@ class GroupElement:
         return f"{head}{self.v}{tail}"
 
 
-@dataclass(frozen=True)
-class OracleElement:
+class OracleElement(_Value):
     """Point (a, d) of the rational semidirect model Q^m x Z.
 
     Multiplication is (a, i)(b, j) = (a + b M^-i, i + j).  Denominators of
     genuine images divide a power of det(M).
     """
 
-    group: GroupParams
-    a: tuple
-    d: int
+    _fields = ("group", "a", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Fraction(e) for e in self.a))
-        if len(self.a) != self.group.m:
+    def __init__(self, group: GroupParams, a: tuple, d: int):
+        a = tuple(Fraction(e) for e in a)
+        self.__dict__.update(group=group, a=a, d=d)
+        if len(a) != group.m:
             raise ValueError("vector dimension mismatch")
 
     @classmethod

@@ -22,11 +22,10 @@ cannot escape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .grammars import SamplePolicy, SubsetSpec, orbit_spec, subgroup_closure
-from .groups import GroupElement, GroupParams
+from .groups import GroupElement, GroupParams, _Value
 from .seeding import derive_seed
 
 __all__ = [
@@ -47,31 +46,37 @@ class KeyAgreementError(RuntimeError):
     """The two parties derived different keys; must not occur."""
 
 
-@dataclass(frozen=True)
-class PublicParams1:
-    group: GroupParams
-    w: GroupElement
-    spec_a: SubsetSpec
-    spec_b: SubsetSpec
+class PublicParams1(_Value):
+    _fields = ("group", "w", "spec_a", "spec_b")
+
+    def __init__(self, group: GroupParams, w: GroupElement,
+                 spec_a: SubsetSpec, spec_b: SubsetSpec):
+        self.__dict__.update(group=group, w=w, spec_a=spec_a, spec_b=spec_b)
 
 
-@dataclass(frozen=True)
-class PartySecret1:
-    a: GroupElement
-    b: GroupElement
+class PartySecret1(_Value):
+    _fields = ("a", "b")
+
+    def __init__(self, a: GroupElement, b: GroupElement):
+        self.__dict__.update(a=a, b=b)
 
 
-@dataclass(frozen=True)
-class PublicParams2:
-    group: GroupParams
-    w: GroupElement
+class PublicParams2(_Value):
+    _fields = ("group", "w")
+
+    def __init__(self, group: GroupParams, w: GroupElement):
+        self.__dict__.update(group=group, w=w)
 
 
-@dataclass(frozen=True)
-class Party2State:
-    secret_anchor: GroupElement
-    published_spec: SubsetSpec
-    peer_pick: Optional[GroupElement] = None
+class Party2State(_Value):
+    _fields = ("secret_anchor", "published_spec", "peer_pick")
+
+    def __init__(self, secret_anchor: GroupElement,
+                 published_spec: SubsetSpec,
+                 peer_pick: Optional[GroupElement] = None):
+        self.__dict__.update(secret_anchor=secret_anchor,
+                             published_spec=published_spec,
+                             peer_pick=peer_pick)
 
 
 _CHECK_POLICY = SamplePolicy(max_length=24, depth_cap=4)
@@ -213,7 +218,8 @@ def p2_exchange_full(pub: PublicParams2, alice: Party2State, bob: Party2State,
     k_b = b1 * msg_a * bob.secret_anchor
     if k_a != k_b:
         raise KeyAgreementError("p2 key mismatch: centralizer invariant violated")
-    states = (replace(alice, peer_pick=a2), replace(bob, peer_pick=b1))
+    states = (Party2State(alice.secret_anchor, alice.published_spec, a2),
+              Party2State(bob.secret_anchor, bob.published_spec, b1))
     return states, (msg_a, msg_b), (k_a, k_b)
 
 

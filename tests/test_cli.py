@@ -290,15 +290,23 @@ def test_readme_commands_never_spot_check(capsys, params_file, monkeypatch):
 
 
 @pytest.fixture
-def p1_instance(tmp_path, capsys, params_file):
+def p1_instance(request, tmp_path, capsys, params_file):
+    """An instance file of seed 5 (both of Alice's secrets are the identity,
+    so the attacks break at iteration 0) or, through ``SEARCHING``, also
+    of seed 4, where they break only after a search step."""
     path = tmp_path / "inst.json"
+    seed = str(getattr(request, "param", 5))
     code = main(["instance", "p1", "gen", "--params", params_file,
-                 "--seed", "5", "--max-len", "8", "--out", str(path)])
+                 "--seed", seed, "--max-len", "8", "--out", str(path)])
     capsys.readouterr()
     assert code == 0
     return path
 
 
+SEARCHING = pytest.mark.parametrize("p1_instance", [5, 4], indirect=True)
+
+
+@SEARCHING
 def test_attack_negative_window_exit_code(capsys, p1_instance):
     for attack in ("rst", "descent"):
         code, out, err = run(capsys, "attack", attack, "--instance",
@@ -312,15 +320,18 @@ def _assert_time(text):
     assert math.isfinite(value) and value >= 0.0
 
 
+@SEARCHING
 def test_attack_wall_clock(capsys, tmp_path, p1_instance):
     """--wall-clock changes only the timing fields, and they are times."""
     searches = (("rst", "--max-iter", "30"), ("descent", "--beam", "4"))
+    searched = json.loads(p1_instance.read_text())["seed"] == 4
     for search in searches:
         argv = ("attack",) + search + ("--instance", str(p1_instance))
         code, plain, _ = run(capsys, *argv)
         code2, timed, _ = run(capsys, *argv, "--wall-clock")
         assert code == code2 == 0
         plain, timed = json.loads(plain), json.loads(timed)
+        assert plain["success"] and (plain["iterations"] > 0) == searched
         assert plain.pop("elapsed_ms") == "0.000"
         _assert_time(timed.pop("elapsed_ms"))
         assert timed == plain
@@ -348,6 +359,7 @@ def test_attack_wall_clock(capsys, tmp_path, p1_instance):
         _assert_time(value)
 
 
+@SEARCHING
 def test_attack_instance_decimal_strings_strict(capsys, tmp_path, p1_instance):
     obj = json.loads(p1_instance.read_text())
     path = tmp_path / "target.json"
@@ -360,6 +372,7 @@ def test_attack_instance_decimal_strings_strict(capsys, tmp_path, p1_instance):
                        f"{bad!r}\n")
 
 
+@SEARCHING
 def test_attack_instance_duplicate_key_refused(capsys, tmp_path, p1_instance):
     # the repeated q comes first, so the last value (the one kept by
     # json.loads alone) is the instance's own and the file decodes as before

@@ -1,5 +1,7 @@
-"""Start-up: each command loads only the modules it runs; exports are lazy."""
+"""Start-up: each command loads only the modules it runs; exports are lazy;
+value classes generate no code at import."""
 
+import dataclasses
 import json
 import os
 import shlex
@@ -103,3 +105,117 @@ def test_kept_package_does_not_mix_two_imports():
     # a benchmark set-up drops subsetkex.* from sys.modules and imports it
     # afresh while an older package object is still held
     assert python("-c", _STALE).strip() == "True"
+
+
+# The value classes, which generate no code at import, and their fields in
+# the order of the frozen dataclasses they replaced.  Their equality, hash
+# and repr are checked against a frozen dataclass built here with the same
+# name and fields.
+VALUE_FIELDS = {
+    "IntMatrix": ("rows",),
+    "GroupParams": ("matrix",),
+    "GroupElement": ("group", "p", "v", "q"),
+    "OracleElement": ("group", "a", "d"),
+    "CFGrammar": ("nonterminals", "start", "rules"),
+    "SubsetSpec": ("grammar", "group"),
+    "PublicParams1": ("group", "w", "spec_a", "spec_b"),
+    "PartySecret1": ("a", "b"),
+    "PublicParams2": ("group", "w"),
+    "Party2State": ("secret_anchor", "published_spec", "peer_pick"),
+    "MembershipVerdict": ("value",),
+    "AttackPlan": ("pub", "gens_a", "gen_b"),
+    "AttackInstance": ("plan", "target"),
+}
+OWN_REPR = {"GroupElement", "OracleElement"}
+CACHED = {"IntMatrix": "adjugate", "GroupParams": "_alphabet",
+          "CFGrammar": "terminals", "AttackPlan": "walk"}
+
+
+@pytest.fixture(scope="module")
+def grid_values() -> dict:
+    """Instances of every value class, built from the default sweep grid."""
+    from subsetkex.cli import _default_grid
+    from subsetkex.protocols import p1_draw
+
+    sk = subsetkex
+    found = {name: [] for name in VALUE_FIELDS}
+    for point in _default_grid():
+        plan = point.plan
+        pub, group = plan.pub, plan.pub.group
+        instance = sk.build_p1_instance(point, 7)
+        policy = point.policy.with_seed(3)
+        pub2 = sk.PublicParams2(group, pub.w)
+        alice = sk.p2_party_setup(pub2, point.u, policy)
+        bob = sk.p2_party_setup(pub2, point.v, policy.with_seed(4))
+        (picked, _), _, _ = sk.p2_exchange_full(pub2, alice, bob, policy)
+        for value in (
+                group.matrix, group, pub.w, pub.w.oracle(), pub.spec_a,
+                pub.spec_a.grammar, pub, p1_draw(pub, policy, 1), pub2,
+                alice, picked, plan, instance,
+                sk.lattice_member(group, instance.target, point.v, 8)):
+            found[type(value).__name__].append(value)
+    return found
+
+
+def with_fields(x, **changes):
+    """A copy of x with some fields replaced, built without ``__init__``."""
+    y = object.__new__(type(x))
+    y.__dict__.update({f: getattr(x, f) for f in VALUE_FIELDS[type(x).__name__]},
+                      **changes)
+    return y
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_FIELDS))
+def test_value_classes_behave_as_frozen_dataclasses(name, grid_values):
+    cls = getattr(subsetkex, name)
+    fields = VALUE_FIELDS[name]
+    reference = dataclasses.make_dataclass(name, fields, frozen=True)
+    assert not dataclasses.is_dataclass(cls)
+    assert grid_values[name]
+    for x in grid_values[name]:
+        values = tuple(getattr(x, f) for f in fields)
+        ref = reference(*values)
+        assert hash(x) == hash(values) == hash(ref)
+        if name not in OWN_REPR:
+            assert repr(x) == repr(ref)
+        twin = cls(**dict(zip(fields, values)))  # keyword construction
+        assert twin is not x and twin == x and not twin != x
+        assert hash(twin) == hash(x)
+        assert x.__eq__(values) is NotImplemented and x != values
+        for f in fields:
+            other = with_fields(x, **{f: object()})
+            assert other != x and x != other and not other == x, f
+            with pytest.raises(AttributeError):
+                setattr(x, f, getattr(x, f))
+            with pytest.raises(AttributeError):
+                delattr(x, f)
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert tuple(getattr(x, f) for f in fields) == values
+        assert "extra" not in vars(x)
+        if name in CACHED:  # computed afresh, kept in __dict__, then reused
+            vars(x).pop(CACHED[name], None)
+            first = getattr(x, CACHED[name])
+            assert vars(x)[CACHED[name]] is first
+            assert getattr(x, CACHED[name]) is first
+
+
+def test_value_class_defaults_and_equal_groups(grid_values):
+    for state in grid_values["Party2State"]:
+        fresh = subsetkex.Party2State(secret_anchor=state.secret_anchor,
+                                      published_spec=state.published_spec)
+        assert fresh.peer_pick is None
+        assert (fresh == state) == (state.peer_pick is None)
+    # elements over equal, distinct groups are equal and hash alike
+    for x in grid_values["GroupElement"]:
+        group = subsetkex.GroupParams(subsetkex.IntMatrix(x.group.matrix.rows))
+        twin = subsetkex.GroupElement(group, x.p, x.v, x.q)
+        assert twin.group is not x.group and twin == x
+        assert hash(twin) == hash(x)
+
+
+def test_only_three_exported_dataclasses():
+    exported = {name for name in subsetkex.__all__
+                if isinstance(getattr(subsetkex, name), type)
+                and dataclasses.is_dataclass(getattr(subsetkex, name))}
+    assert exported == {"SamplePolicy", "AttackResult", "GridPoint"}
