@@ -60,6 +60,7 @@ MEMBER = "member"
 NON_MEMBER_IN_WINDOW = "non-member-in-window"
 UNKNOWN = "unknown"
 
+HEAD_TABLE_BOUND = 1024  # left words whose heads one plan keeps
 _T_PENALTY = 1 << 20
 _MAX_DIST = 1 << 40
 
@@ -317,8 +318,9 @@ class AttackPlan(_Value):
     generator v, which certifies candidate right factors.  ``gens_a``
     switches on generator mode (a finite approximation of the left subset,
     such as ``orbit_generators`` of the published u); when None the grammar
-    of pub.spec_a is attacked directly.  w^-1, the greedy walk and the
-    descent root are built on first use and kept.
+    of pub.spec_a is attacked directly.  w^-1, the greedy walk, the
+    descent root and ``heads`` (completed left word -> head w^-1 a^-1; it
+    stops adding at ``HEAD_TABLE_BOUND`` words) are built on first use.
 
     ``window`` is not a field: each search takes it, and nothing kept here
     depends on it (window lattices are cached by matrix, see
@@ -350,10 +352,25 @@ class AttackPlan(_Value):
                             for i in range(len(steps)))
 
     @cached_property
+    def heads(self) -> dict:
+        return {}
+
+    @cached_property
     def root(self) -> tuple:
-        """(a, head): the left grammar's shortest word a and w^-1 a^-1."""
-        a = self.pub.group.evaluate(shortest_word(self.pub.spec_a.grammar))
-        return a, self.w_inverse * a.inverse()
+        """(word, (a, head)) of the left grammar's shortest word, a kept."""
+        word = shortest_word(self.pub.spec_a.grammar)
+        a, head = self.head(word)
+        return word, (self.pub.group.evaluate(word) if a is None else a, head)
+
+    def head(self, word: tuple) -> tuple:
+        """(a, w^-1 a^-1) of a left word; a is None when the head was kept."""
+        if word in self.heads:
+            return None, self.heads[word]
+        a = self.pub.group.evaluate(word)
+        head = self.w_inverse * a.inverse()
+        if len(self.heads) < HEAD_TABLE_BOUND:
+            self.heads[word] = head
+        return a, head
 
     def certified(self, target: GroupElement, a: GroupElement,
                   b: GroupElement, window: Optional[int],
@@ -459,11 +476,11 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     Each partial derivation is completed optimistically (remaining
     nonterminals replaced by their shortest terminal yields, which keeps
     the completion inside the language), inducing a left-factor candidate
-    whose right factor is scored by ``default_length``.  The root's
-    candidate a with its head w^-1 a^-1 is kept on the plan
-    (``AttackPlan.root``), the other yields once per search.  Success is
-    certified the same way as in the greedy attack.  ``iterations`` counts
-    the expanded nodes.
+    whose right factor is scored by ``default_length``.  Heads w^-1 a^-1
+    are kept on the plan (``AttackPlan.heads``), scores per search: a form
+    completing to a word already assessed (its pair failed) joins the beam
+    with that score.  Success is certified as in the greedy attack, and
+    ``iterations`` counts the expanded nodes, repeats included.
     """
     if beam < 1:
         raise ValueError("beam must be at least 1")
@@ -473,6 +490,7 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     group = plan.pub.group
 
     yield_cache: dict = {}
+    scores: dict = {}  # completed word -> score, once its pair failed
 
     def completion(form: tuple) -> tuple:
         out: list = []
@@ -485,41 +503,43 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
                 out.append(sym)
         return tuple(out)
 
-    def candidate(form: tuple) -> tuple:
-        a_cand = group.evaluate(completion(form))
-        return a_cand, plan.w_inverse * a_cand.inverse()
-
-    def assess(a_cand: GroupElement, head: GroupElement):
+    def assess(word: tuple, kept: Optional[tuple] = None) -> tuple:
+        """(score, None), or (0, pair) when the word's pair breaks target."""
+        if word in scores:
+            return scores[word], None
+        a_cand, head = kept or plan.head(word)
         b_cand = head * target  # head = w^-1 a^-1
-        return default_length(b_cand), a_cand, b_cand
+        if lattice_member(group, b_cand, plan.gen_b,
+                          _membership_window(b_cand, window)).is_member:
+            pair = (group.evaluate(word) if a_cand is None else a_cand, b_cand)
+            if verify_break(plan.pub, target, target, *pair, *pair):
+                return 0, pair
+        scores[word] = s = default_length(b_cand)
+        return s, None
 
-    s, a_cand, b_cand = assess(*plan.root)
-    best = s
-    if plan.certified(target, a_cand, b_cand, window):
-        return AttackResult(True, (a_cand, b_cand), 0, 0)
+    best, pair = assess(*plan.root)
+    if pair is not None:
+        return AttackResult(True, pair, 0, 0)
 
-    frontier = [(s, 0, (grammar.start,))]
+    frontier = [(best, 0, (grammar.start,))]
     expanded = 0
     tiebreak = 1
     while frontier and expanded < max_nodes:
         children = []
         for _, _, form in frontier:
-            left = next(
-                (i for i, sym in enumerate(form) if sym in nts),
-                None,
-            )
+            left = next((i for i, sym in enumerate(form) if sym in nts),
+                        None)
             if left is None:
                 continue
             for rhs in grammar._productive_rules_by_lhs.get(form[left], ()):
                 child = form[:left] + rhs + form[left + 1:]
-                terminals = sum(1 for sym in child if sym not in nts)
-                if terminals > max_len:
+                if sum(1 for sym in child if sym not in nts) > max_len:
                     continue
                 expanded += 1
-                s, a_cand, b_cand = assess(*candidate(child))
+                s, pair = assess(completion(child))
+                if pair is not None:
+                    return AttackResult(True, pair, expanded, 0)
                 best = min(best, s)
-                if plan.certified(target, a_cand, b_cand, window):
-                    return AttackResult(True, (a_cand, b_cand), expanded, 0)
                 children.append((s, tiebreak, child))
                 tiebreak += 1
                 if expanded >= max_nodes:

@@ -8,7 +8,9 @@ from subsetkex import (
     GridPoint,
     GroupParams,
     IntMatrix,
+    default_length,
     lattice_member,
+    shortest_word,
     subset_distance,
     verify_break,
 )
@@ -211,6 +213,69 @@ def reference_rst_greedy(instance, max_iter, window=None):
         d0, _, current = min(scored, key=lambda s: (s[0], s[1]))
         best = min(best, d0)
     return False, max_iter, best, None
+
+
+def reference_derivation_descent(instance, beam, max_nodes, max_len,
+                                 window=None, words=None):
+    """The beam descent that evaluates and certifies every child.
+
+    Each partial derivation is completed with shortest yields, its word
+    evaluated to a, and b = w^-1 a^-1 target scored and certified, however
+    often the same word comes back; nothing is kept between searches.
+    derivation_descent keeps scores per search and heads per plan; this
+    is the search it is checked against.  Each completed word is appended
+    to ``words`` when given.  Returns (success, iterations, best_score,
+    recovered).
+    """
+    plan, target = instance.plan, instance.target
+    pub = plan.pub
+    grammar, group = pub.spec_a.grammar, pub.group
+    w_inverse = pub.w.inverse()
+
+    def assess(form):
+        word = tuple(tok for sym in form for tok in (
+            shortest_word(grammar, sym) if grammar.is_nonterminal(sym)
+            else (sym,)))
+        if words is not None:
+            words.append(word)
+        a = group.evaluate(word)
+        b = w_inverse * a.inverse() * target
+        win = window if window is not None else b.p + b.q + 8
+        breaks = (lattice_member(group, b, plan.gen_b, win).is_member
+                  and verify_break(pub, target, target, a, b, a, b))
+        return default_length(b), (a, b) if breaks else None
+
+    best, pair = assess((grammar.start,))
+    if pair is not None:
+        return True, 0, 0, pair
+    frontier = [(best, 0, (grammar.start,))]
+    expanded, tiebreak = 0, 1
+    while frontier and expanded < max_nodes:
+        children = []
+        for _, _, form in frontier:
+            left = next((i for i, sym in enumerate(form)
+                         if grammar.is_nonterminal(sym)), None)
+            if left is None:
+                continue
+            for rhs in grammar._productive_rules_by_lhs.get(form[left], ()):
+                child = form[:left] + rhs + form[left + 1:]
+                if sum(not grammar.is_nonterminal(sym)
+                       for sym in child) > max_len:
+                    continue
+                expanded += 1
+                score, pair = assess(child)
+                if pair is not None:
+                    return True, expanded, 0, pair
+                best = min(best, score)
+                children.append((score, tiebreak, child))
+                tiebreak += 1
+                if expanded >= max_nodes:
+                    break
+            if expanded >= max_nodes:
+                break
+        children.sort(key=lambda node: node[:2])
+        frontier = children[:beam]
+    return False, expanded, best, None
 
 
 @pytest.fixture

@@ -48,6 +48,7 @@ from subsetkex.serialize import MAX_WINDOW
 from conftest import (
     FOLD_MATRICES,
     reference_contains,
+    reference_derivation_descent,
     reference_rst_greedy,
     reference_window_lattice,
     sweep_random_point,
@@ -340,8 +341,9 @@ def test_build_p1_instance_cold_or_warm(monkeypatch):
         searched = rst_greedy(build_p1_instance(shared, trial), max_iter=8)
         assert searched.iterations > 0  # the walk was read
         derivation_descent(build_p1_instance(shared, trial), max_nodes=16)
-        kept.append((plan.walk, plan.root))
-    assert kept[1][0] is kept[0][0] and kept[1][1] is kept[0][1]
+        kept.append((plan.walk, plan.root, plan.heads))
+    assert all(now is then for now, then in zip(*kept))
+    assert plan.root[0] in plan.heads  # the root's head is in the table
 
 
 def full_round_instance(point, seed):
@@ -695,6 +697,97 @@ def test_descent_beam_comparison_runs(flat2):
     r2 = derivation_descent(abelian_instance(derive_seed(5, 0), max_length=6),
                             beam=8, max_nodes=220, max_len=8)
     assert r1 == r2
+
+
+def descent_outcome(result):
+    return (result.success, result.iterations, result.best_score,
+            result.recovered)
+
+
+def m2_upper():
+    return next(p for p in cli._default_grid() if p.grid_id == "m2-upper")
+
+
+def test_descent_matches_reference_search():
+    # the reference evaluates and certifies every child; the descent
+    # assesses each completed word once per search and keeps heads per plan
+    rng = random.Random(31)
+    points = list(cli._default_grid())
+    points += [sweep_random_point(rng, i) for i in range(30)]
+    seen = set()
+    repeats = 0
+    for n, point in enumerate(points):
+        for trial in range(4):
+            inst = build_p1_instance(point, derive_seed(37, n, trial))
+            for window, max_nodes in ((None, point.max_nodes), (6, 200),
+                                      (None, 12)):
+                words = []
+                expect = reference_derivation_descent(
+                    inst, point.beam, max_nodes, point.max_length, window,
+                    words)
+                result = derivation_descent(
+                    inst, beam=point.beam, max_nodes=max_nodes,
+                    max_len=point.max_length, window=window)
+                assert descent_outcome(result) == expect, (point, trial)
+                repeats += len(words) - len(set(words))
+                seen.add((result.success, result.iterations > 0))
+    # breaks at the root and after expanding, and failed searches
+    assert {(True, False), (True, True), (False, True)} <= seen
+    assert repeats > 500
+
+
+def test_descent_tests_each_word_once_and_keeps_heads(monkeypatch):
+    events = []
+    real_member, real_evaluate = attacks.lattice_member, GroupParams.evaluate
+
+    def member(*args):
+        verdict = real_member(*args)
+        events.append(("member", verdict.is_member))
+        return verdict
+
+    def evaluate(group, word):
+        events.append(("evaluate", tuple(word)))
+        return real_evaluate(group, word)
+
+    monkeypatch.setattr(attacks, "lattice_member", member)
+    monkeypatch.setattr(GroupParams, "evaluate", evaluate)
+    point = m2_upper()
+    kept_hits = members_evaluated = 0
+    for trial in range(20):
+        inst = build_p1_instance(point, derive_seed(41, trial))
+        words = []
+        expect = reference_derivation_descent(
+            inst, point.beam, point.max_nodes, point.max_length, None, words)
+        kept = set(point.plan.heads)
+        events.clear()
+        result = derivation_descent(inst, beam=point.beam,
+                                    max_nodes=point.max_nodes,
+                                    max_len=point.max_length)
+        assert descent_outcome(result) == expect
+        # one lattice test per distinct completed word of the search
+        tests = sum(kind == "member" for kind, _ in events)
+        assert tests == len(set(words))
+        # a kept head is not evaluated again, but a member's a is
+        for i, (kind, value) in enumerate(events):
+            if kind == "evaluate" and value in kept:
+                assert events[i - 1] == ("member", True), trial
+                members_evaluated += 1
+        kept_hits += len(kept & set(words))
+    assert kept_hits > 20 and members_evaluated > 0
+
+
+def test_head_table_bound(monkeypatch):
+    monkeypatch.setattr(attacks, "HEAD_TABLE_BOUND", 4)
+    point = m2_upper()
+    for trial in range(6):
+        inst = build_p1_instance(point, derive_seed(43, trial))
+        result = derivation_descent(inst, beam=point.beam,
+                                    max_nodes=point.max_nodes,
+                                    max_len=point.max_length)
+        assert descent_outcome(result) == reference_derivation_descent(
+            inst, point.beam, point.max_nodes, point.max_length)
+        assert len(point.plan.heads) <= 4
+    assert len(point.plan.heads) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Grammar machinery: sampling, Earley membership, closures."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
