@@ -220,6 +220,60 @@ def test_parser_builds_only_the_named_family(capsys, monkeypatch):
             assert run(capsys, *argv) == got, argv
 
 
+# each command's handler and parsed values, given only its required flags;
+# help does not show defaults, so this pins them
+_PARSED = {
+    "params gen": ("cmd_params_gen",
+                   dict(dim=2, max_entry=3, seed=0, out=None)),
+    "instance p1 gen --params p": ("cmd_instance_p1", dict(
+        params="p", seed=0, range="integers", max_len=16, depth_cap=4,
+        gens_window=2, out=None)),
+    "instance p2 gen --params p": ("cmd_instance_p2", dict(
+        params="p", seed=0, range="integers", max_len=16, depth_cap=4,
+        out=None)),
+    "kex p1 simulate": ("cmd_kex_p1", dict(
+        params=None, instance=None, seed=None, range="integers", max_len=16,
+        depth_cap=4, out=None)),
+    "kex p2 simulate": ("cmd_kex_p2", dict(
+        params=None, instance=None, seed=None, range="integers", max_len=16,
+        depth_cap=4, out=None)),
+    "kex orbit-dh simulate --params p": ("cmd_kex_orbit_dh", dict(
+        params="p", seed=None, max_exp=1 << 20, out=None)),
+    "grammar orbit --params p --word w": ("cmd_grammar_orbit", dict(
+        params="p", word="w", range="integers", out=None)),
+    "grammar closure --grammar g": ("cmd_grammar_closure",
+                                    dict(grammar="g", params=None, out=None)),
+    "grammar sample --grammar g": ("cmd_grammar_sample", dict(
+        grammar="g", params=None, seed=0, max_len=48, depth_cap=6,
+        out=None)),
+    "grammar member --grammar g --word w": ("cmd_grammar_member",
+                                            dict(grammar="g", word="w",
+                                                 out=None)),
+    "attack rst --instance i": ("cmd_attack_rst", dict(
+        instance="i", max_iter=200, window=None, wall_clock=False,
+        out=None)),
+    "attack descent --instance i": ("cmd_attack_descent", dict(
+        instance="i", beam=8, max_nodes=2048, max_len=48, window=None,
+        wall_clock=False, out=None)),
+    "attack sweep": ("cmd_attack_sweep", dict(
+        grid=None, trials=5, seed=0, trials_json=None, wall_clock=False,
+        out=None)),
+    "selftest oracle": ("cmd_selftest_oracle", dict(trials=1000, seed=0)),
+}
+
+
+@pytest.mark.parametrize("line", _PARSED)
+def test_parsed_defaults_per_command(line):
+    argv = line.split()
+    parsed = vars(cli.build_parser(argv).parse_args(argv))
+    handler = parsed.pop("func").__name__
+    path = [parsed.pop(dest) for dest in ("command", "sub", "subsub")
+            if dest in parsed]
+    assert path == [a for a in argv if not a.startswith("-")][:len(path)]
+    assert (handler, parsed) == _PARSED[line]
+    assert list(parsed) == list(_PARSED[line][1])  # help order
+
+
 def test_inputs_not_mutated(capsys, tmp_path, params_file):
     before = Path(params_file).read_bytes()
     run(capsys, "kex", "p1", "simulate", "--seed", "1", "--params", params_file)

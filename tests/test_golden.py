@@ -3,8 +3,9 @@
 The transcripts under ``tests/golden/`` lock the seeded output contract:
 any refactor that moves a byte of it fails here.  ``sweep.txt`` locks the
 attack-sweep trial path below the CSV: each trial's record and the words
-the sampler draws from closure grammars.  Regenerate them only on
-purpose, from the repository root, with
+the sampler draws from closure grammars.  ``help.txt`` locks the CLI's
+help and usage-error bytes.  Regenerate them only on purpose, from the
+repository root, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -61,6 +62,68 @@ def cli_transcript(workdir: Path) -> str:
     return "".join(parts)
 
 
+# the command tree: each family's subcommands, and each intermediate's
+_LEAVES = (
+    ("params", "gen"), ("instance", "p1", "gen"), ("instance", "p2", "gen"),
+    ("kex", "p1", "simulate"), ("kex", "p2", "simulate"),
+    ("kex", "orbit-dh", "simulate"), ("grammar", "orbit"),
+    ("grammar", "closure"), ("grammar", "sample"), ("grammar", "member"),
+    ("attack", "rst"), ("attack", "descent"), ("attack", "sweep"),
+    ("selftest", "oracle"))
+
+
+def help_argvs() -> list:
+    """Help requests and usage errors over the whole command tree."""
+    families = dict.fromkeys(leaf[0] for leaf in _LEAVES)
+    middles = [leaf[:2] for leaf in _LEAVES if len(leaf) == 3]
+    argvs = [[], ["-h"], ["foo"], ["--foo", "attack", "rst"]]
+    for family in families:
+        argvs += [[family], [family, "-h"], [family, "foo"]]
+    for middle in middles:
+        argvs += [list(middle), [*middle, "-h"]]
+    for leaf in _LEAVES:
+        argvs += [[*leaf, "-h"], [*leaf, "--foo"], [*leaf, "--seed", "x"]]
+    # a negative budget or count, and an unknown orbit range
+    argvs += [["attack", "rst", "--instance", "i.json", "--max-iter", "-7"],
+              ["attack", "descent", "--instance", "i.json", "--max-len", "-7"],
+              ["attack", "descent", "--instance", "i.json",
+               "--max-nodes", "-7"],
+              ["attack", "sweep", "--trials", "-7"],
+              ["selftest", "oracle", "--trials", "-7"],
+              ["kex", "orbit-dh", "simulate", "--params", "p.json",
+               "--max-exp", "-7"]]
+    argvs += [[*leaf, "--range", "reals"] for leaf in _LEAVES
+              if leaf[0] in ("instance", "kex") and leaf[1] != "orbit-dh"]
+    argvs.append(["grammar", "orbit", "--params", "p.json", "--word", "[]",
+                  "--range", "reals"])
+    return argvs
+
+
+def help_transcript() -> str:
+    """Exit code, stdout and stderr of each of ``help_argvs()``.
+
+    Help is formatted for an 80-column terminal; COLUMNS is restored after.
+    """
+    parts = []
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        for argv in help_argvs():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            parts.append(f"$ {shlex.join(['subsetkex', *argv])}\n"
+                         f"[exit {code}]\n"
+                         f"{out.getvalue()}[stderr]\n{err.getvalue()}")
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return "".join(parts)
+
+
 def demo_transcript(name: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -107,6 +170,11 @@ def test_cli_readme_commands_match_golden(tmp_path):
     assert cli_transcript(tmp_path) == expected
 
 
+def test_help_matches_golden():
+    expected = (GOLDEN / "help.txt").read_text(encoding="utf-8")
+    assert help_transcript() == expected
+
+
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_matches_golden(name):
     expected = (GOLDEN / f"{Path(name).stem}.txt").read_text(encoding="utf-8")
@@ -121,6 +189,7 @@ if __name__ == "__main__":
         (GOLDEN / "cli.txt").write_text(cli_transcript(Path(tmp)),
                                         encoding="utf-8")
     (GOLDEN / "sweep.txt").write_text(sweep_transcript(), encoding="utf-8")
+    (GOLDEN / "help.txt").write_text(help_transcript(), encoding="utf-8")
     for demo in DEMOS:
         (GOLDEN / f"{Path(demo).stem}.txt").write_text(
             demo_transcript(demo), encoding="utf-8")
