@@ -372,22 +372,6 @@ class AttackPlan(_Value):
             self.heads[word] = head
         return a, head
 
-    def certified(self, target: GroupElement, a: GroupElement,
-                  b: GroupElement, window: Optional[int],
-                  distance: Optional[int] = None) -> bool:
-        """Whether (a, b) breaks ``target``.
-
-        It holds when b is a window-lattice member and the pair, used as
-        both cracks, passes ``verify_break``, which runs on every break.  A
-        caller that scored b with ``subset_distance`` passes that distance:
-        it is 0 exactly when ``lattice_member`` says "member" (both read the
-        same Babai residual), so the candidate costs one residual, not two.
-        """
-        member = distance == 0 if distance is not None else lattice_member(
-            self.pub.group, b, self.gen_b,
-            _membership_window(b, window)).is_member
-        return member and verify_break(self.pub, target, target, a, b, a, b)
-
 
 class AttackInstance(_Value):
     """One cryptanalysis target: the point's plan and target = a1 w b1."""
@@ -443,7 +427,8 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
 
     b0 = plan.w_inverse * rest
     best = distance(b0)
-    if best == 0 and plan.certified(target, current, b0, window, best):
+    if best == 0 and verify_break(plan.pub, target, target, current, b0,
+                                  current, b0):
         return AttackResult(True, (current, b0), 0, 0)
     steps, heads = plan.walk
     seen = {(rest.p, rest.v, rest.q)}
@@ -454,7 +439,8 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
             d = distance(b_cand)
             if d == 0:
                 a_cand = current * steps[idx]
-                if plan.certified(target, a_cand, b_cand, window, d):
+                if verify_break(plan.pub, target, target, a_cand, b_cand,
+                                a_cand, b_cand):
                     return AttackResult(True, (a_cand, b_cand), it, 0)
             scored.append((d, idx))
         d0, idx0 = min(scored)

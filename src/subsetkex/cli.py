@@ -58,13 +58,20 @@ def _read_json(path: str):
     return serialize.loads(text)
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(args, obj_or_text) -> None:
     text = obj_or_text if isinstance(obj_or_text, str) else serialize.dumps(obj_or_text)
     if not text.endswith("\n"):
         text += "\n"
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -511,8 +518,7 @@ def cmd_attack_sweep(args) -> int:
                                   collect=bool(args.trials_json))
     if args.trials_json:
         csv_text, records = out
-        Path(args.trials_json).write_text(
-            serialize.dumps(records) + "\n", encoding="utf-8")
+        _write_text(args.trials_json, serialize.dumps(records) + "\n")
     else:
         csv_text = out
     _emit(args, csv_text)
@@ -546,10 +552,6 @@ def cmd_selftest_oracle(args) -> int:
 # parser
 
 
-_WINDOW_HELP = (f"membership lattice window (0..{serialize.MAX_WINDOW}; "
-                "default: from each candidate)")
-
-
 def _count(text: str) -> int:
     """Argument type of the budgets and trial counts: an integer >= 0."""
     value = int(text)
@@ -558,155 +560,130 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_out(p):
-    p.add_argument("--out", help="write output to FILE instead of stdout")
+# (flag, add_argument keywords) of the arguments that several commands share
+_OUT = ("--out", dict(help="write output to FILE instead of stdout"))
+_SEED = ("--seed", dict(type=int, default=0))
+_SIM_SEED = ("--seed", dict(type=int, default=None))
+_PARAMS = ("--params", dict(required=True))
+_GRAMMAR = ("--grammar", dict(required=True))
+_INSTANCE = ("--instance", dict(required=True))
+_RANGE = ("--range", dict(choices=(RANGE_NATURALS, RANGE_INTEGERS),
+                          default=RANGE_INTEGERS))
+_POLICY = (("--max-len", dict(type=int, default=16)),
+           ("--depth-cap", dict(type=int, default=4)))
+_WINDOW = ("--window", dict(type=int, default=None, help="membership lattice "
+           f"window (0..{serialize.MAX_WINDOW}; default: from each candidate)"))
+_WALL_CLOCK = ("--wall-clock", dict(action="store_true"))
+_KEX = (("--params", {}), ("--instance", {}), _SIM_SEED, _RANGE, *_POLICY,
+        _OUT)
 
+# (name, help) of each command family, in help order
+_FAMILIES = (
+    ("params", "group parameter tooling"), ("instance", "instance generation"),
+    ("kex", "protocol simulation"), ("grammar", "grammar tooling"),
+    ("attack", "cryptanalysis"), ("selftest", "randomized self-checks"),
+)
 
-class _Stub:
-    """Takes a command family's subcommands and arguments, builds nothing."""
+# (path, help or None, handler, arguments) of each command, in help order
+_COMMANDS = (
+    (("params", "gen"), "random matrix with nonzero determinant",
+     cmd_params_gen, (
+         ("--dim", dict(type=int, default=2,
+                        help=f"matrix dimension (1..{serialize.MAX_DIM})")),
+         ("--max-entry", dict(type=int, default=3, help="entries are drawn "
+                              "from -MAX_ENTRY..MAX_ENTRY (>= 1)")),
+         _SEED, _OUT)),
+    (("instance", "p1", "gen"), None, cmd_instance_p1, (
+        _PARAMS, _SEED, _RANGE, *_POLICY,
+        ("--gens-window", dict(type=int, default=2, help="attack generators "
+         f"t^-k u t^k for |k| <= this (0..{serialize.MAX_WINDOW})")),
+        _OUT)),
+    (("instance", "p2", "gen"), None, cmd_instance_p2,
+     (_PARAMS, _SEED, _RANGE, *_POLICY, _OUT)),
+    (("kex", "p1", "simulate"), None, cmd_kex_p1, _KEX),
+    (("kex", "p2", "simulate"), None, cmd_kex_p2, _KEX),
+    (("kex", "orbit-dh", "simulate"), None, cmd_kex_orbit_dh, (
+        _PARAMS, _SIM_SEED, ("--max-exp", dict(type=_count, default=1 << 20)),
+        _OUT)),
+    (("grammar", "orbit"), "conjugate-orbit grammar of a word",
+     cmd_grammar_orbit, (
+         _PARAMS,
+         ("--word", dict(required=True, help='JSON word, e.g. \'["x1"]\'')),
+         _RANGE, _OUT)),
+    (("grammar", "closure"), "grammar of the generated subgroup",
+     cmd_grammar_closure, (_GRAMMAR, ("--params", {}), _OUT)),
+    (("grammar", "sample"), "seeded sample word", cmd_grammar_sample, (
+        _GRAMMAR, ("--params", {}), _SEED,
+        ("--max-len", dict(type=int, default=48)),
+        ("--depth-cap", dict(type=int, default=6)), _OUT)),
+    (("grammar", "member"), "Earley language membership",
+     cmd_grammar_member, (
+         _GRAMMAR,
+         ("--word", dict(required=True, help="JSON word of at most "
+                         f"{serialize.MAX_MEMBER_WORD} tokens (cubic in the "
+                         "word length in the worst case)")),
+         _OUT)),
+    (("attack", "rst"), "greedy generator-walk attack", cmd_attack_rst, (
+        _INSTANCE, ("--max-iter", dict(type=_count, default=200)),
+        _WINDOW, _WALL_CLOCK, _OUT)),
+    (("attack", "descent"), "derivation beam search attack",
+     cmd_attack_descent, (
+         _INSTANCE, ("--beam", dict(type=int, default=8)),
+         ("--max-nodes", dict(type=_count, default=2048)),
+         ("--max-len", dict(type=_count, default=48)),
+         _WINDOW, _WALL_CLOCK, _OUT)),
+    (("attack", "sweep"), "CSV sweep over a parameter grid",
+     cmd_attack_sweep, (
+         ("--grid", dict(help="grid JSON file (default: built-in grid)")),
+         ("--trials", dict(type=_count, default=5)), _SEED,
+         ("--trials-json", dict(help="also dump per-trial records to FILE")),
+         _WALL_CLOCK, _OUT)),
+    (("selftest", "oracle"), "oracle-equivalence suite", cmd_selftest_oracle,
+     (("--trials", dict(type=_count, default=1000)), _SEED)),
+)
 
-    def add_parser(self, *args, **kwargs) -> "_Stub":
-        return self
-
-    add_subparsers = add_argument = set_defaults = add_parser
+# the namespace attribute that holds the subcommand name at each depth
+_DESTS = ("command", "sub", "subsub")
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser, with subcommands only for the family that argv names.
+    """The parser, built from ``_FAMILIES`` and ``_COMMANDS``.
 
-    The family is the first argument that is not an option.  The others
-    stay help-only stubs, so the top-level help and usage errors read the
-    same whichever family is built.
+    Every family is listed, but only the family that argv names gets its
+    subcommands, from its rows of the command table.  The family is the
+    first argument that is not an option.  The top-level help and usage
+    errors read the same whichever family is built.
     """
-    parser = argparse.ArgumentParser(
+    parsers = {(): argparse.ArgumentParser(
         prog="subsetkex",
         description="grammar-defined subsets, key exchange, and attacks "
                     "over HNN-extensions of free-abelian groups",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    )}
+    subparsers = {}
     wanted = next((a for a in argv if not a.startswith("-")), None)
 
-    def family(name: str, help_text: str):
-        built = sub.add_parser(name, help=help_text)
-        if name != wanted:
-            return _Stub()
-        return built.add_subparsers(dest="sub", required=True)
+    def child(path: tuple, **kwargs) -> argparse.ArgumentParser:
+        """The parser at path, added under its parent on first use."""
+        if path not in parsers:
+            parent = path[:-1]
+            if parent not in subparsers:
+                subparsers[parent] = parsers[parent].add_subparsers(
+                    dest=_DESTS[len(parent)], required=True)
+            parsers[path] = subparsers[parent].add_parser(path[-1], **kwargs)
+        return parsers[path]
 
-
-    sp = family("params", "group parameter tooling")
-    g = sp.add_parser("gen", help="random matrix with nonzero determinant")
-    g.add_argument("--dim", type=int, default=2,
-                   help=f"matrix dimension (1..{serialize.MAX_DIM})")
-    g.add_argument("--max-entry", type=int, default=3,
-                   help="entries are drawn from -MAX_ENTRY..MAX_ENTRY (>= 1)")
-    g.add_argument("--seed", type=int, default=0)
-    _add_out(g)
-    g.set_defaults(func=cmd_params_gen)
-
-    sp = family("instance", "instance generation")
-    for name, fn in (("p1", cmd_instance_p1), ("p2", cmd_instance_p2)):
-        pi = sp.add_parser(name)
-        spi = pi.add_subparsers(dest="subsub", required=True)
-        gi = spi.add_parser("gen")
-        gi.add_argument("--params", required=True)
-        gi.add_argument("--seed", type=int, default=0)
-        gi.add_argument("--range", choices=(RANGE_NATURALS, RANGE_INTEGERS),
-                        default=RANGE_INTEGERS)
-        gi.add_argument("--max-len", type=int, default=16)
-        gi.add_argument("--depth-cap", type=int, default=4)
-        if name == "p1":
-            gi.add_argument("--gens-window", type=int, default=2,
-                            help="attack generators t^-k u t^k for |k| <= "
-                                 f"this (0..{serialize.MAX_WINDOW})")
-        _add_out(gi)
-        gi.set_defaults(func=fn)
-
-    sp = family("kex", "protocol simulation")
-    for name, fn in (("p1", cmd_kex_p1), ("p2", cmd_kex_p2)):
-        pk = sp.add_parser(name)
-        spk = pk.add_subparsers(dest="subsub", required=True)
-        sim = spk.add_parser("simulate")
-        sim.add_argument("--params")
-        sim.add_argument("--instance")
-        sim.add_argument("--seed", type=int, default=None)
-        sim.add_argument("--range", choices=(RANGE_NATURALS, RANGE_INTEGERS),
-                         default=RANGE_INTEGERS)
-        sim.add_argument("--max-len", type=int, default=16)
-        sim.add_argument("--depth-cap", type=int, default=4)
-        _add_out(sim)
-        sim.set_defaults(func=fn)
-    pk = sp.add_parser("orbit-dh")
-    spk = pk.add_subparsers(dest="subsub", required=True)
-    sim = spk.add_parser("simulate")
-    sim.add_argument("--params", required=True)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--max-exp", type=_count, default=1 << 20)
-    _add_out(sim)
-    sim.set_defaults(func=cmd_kex_orbit_dh)
-
-    sp = family("grammar", "grammar tooling")
-    g = sp.add_parser("orbit", help="conjugate-orbit grammar of a word")
-    g.add_argument("--params", required=True)
-    g.add_argument("--word", required=True, help='JSON word, e.g. \'["x1"]\'')
-    g.add_argument("--range", choices=(RANGE_NATURALS, RANGE_INTEGERS),
-                   default=RANGE_INTEGERS)
-    _add_out(g)
-    g.set_defaults(func=cmd_grammar_orbit)
-    g = sp.add_parser("closure", help="grammar of the generated subgroup")
-    g.add_argument("--grammar", required=True)
-    g.add_argument("--params")
-    _add_out(g)
-    g.set_defaults(func=cmd_grammar_closure)
-    g = sp.add_parser("sample", help="seeded sample word")
-    g.add_argument("--grammar", required=True)
-    g.add_argument("--params")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--max-len", type=int, default=48)
-    g.add_argument("--depth-cap", type=int, default=6)
-    _add_out(g)
-    g.set_defaults(func=cmd_grammar_sample)
-    g = sp.add_parser("member", help="Earley language membership")
-    g.add_argument("--grammar", required=True)
-    g.add_argument("--word", required=True,
-                   help="JSON word of at most "
-                        f"{serialize.MAX_MEMBER_WORD} tokens (cubic in the "
-                        "word length in the worst case)")
-    _add_out(g)
-    g.set_defaults(func=cmd_grammar_member)
-
-    sp = family("attack", "cryptanalysis")
-    a = sp.add_parser("rst", help="greedy generator-walk attack")
-    a.add_argument("--instance", required=True)
-    a.add_argument("--max-iter", type=_count, default=200)
-    a.add_argument("--window", type=int, default=None, help=_WINDOW_HELP)
-    a.add_argument("--wall-clock", action="store_true")
-    _add_out(a)
-    a.set_defaults(func=cmd_attack_rst)
-    a = sp.add_parser("descent", help="derivation beam search attack")
-    a.add_argument("--instance", required=True)
-    a.add_argument("--beam", type=int, default=8)
-    a.add_argument("--max-nodes", type=_count, default=2048)
-    a.add_argument("--max-len", type=_count, default=48)
-    a.add_argument("--window", type=int, default=None, help=_WINDOW_HELP)
-    a.add_argument("--wall-clock", action="store_true")
-    _add_out(a)
-    a.set_defaults(func=cmd_attack_descent)
-    a = sp.add_parser("sweep", help="CSV sweep over a parameter grid")
-    a.add_argument("--grid", help="grid JSON file (default: built-in grid)")
-    a.add_argument("--trials", type=_count, default=5)
-    a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--trials-json", help="also dump per-trial records to FILE")
-    a.add_argument("--wall-clock", action="store_true")
-    _add_out(a)
-    a.set_defaults(func=cmd_attack_sweep)
-
-    sp = family("selftest", "randomized self-checks")
-    s = sp.add_parser("oracle", help="oracle-equivalence suite")
-    s.add_argument("--trials", type=_count, default=1000)
-    s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(func=cmd_selftest_oracle)
-
-    return parser
+    for name, help_text in _FAMILIES:
+        child((name,), help=help_text)
+    for path, help_text, handler, arguments in _COMMANDS:
+        if path[0] != wanted:
+            continue
+        for depth in range(2, len(path)):
+            child(path[:depth])  # no help=: help=None would list the command
+        leaf = child(path, **({} if help_text is None else {"help": help_text}))
+        for flag, kwargs in arguments:
+            leaf.add_argument(flag, **kwargs)
+        leaf.set_defaults(func=handler)
+    return parsers[()]
 
 
 def main(argv=None) -> int:

