@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
-from .grammars import SamplePolicy, shortest_word
+from .grammars import VALUE_TABLE_BOUND, SamplePolicy, shortest_word
 from .groups import (
     GroupElement,
     GroupParams,
@@ -63,6 +63,7 @@ UNKNOWN = "unknown"
 HEAD_TABLE_BOUND = 1024  # left words whose heads one plan keeps
 _T_PENALTY = 1 << 20
 _MAX_DIST = 1 << 40
+_MISSING = object()
 
 CSV_HEADER = "grid_id,mode,trials,successes,mean_iters,mean_ms"
 
@@ -89,17 +90,21 @@ def _xgcd(a: int, b: int):
 
 
 class _EchelonLattice:
-    """Row lattice kept in echelon form by xgcd steps, immutable once built.
+    """Row lattice kept in echelon form by xgcd steps.
 
     Nearest rounding along the positive pivots gives the Babai residual for
     distances; it recovers every coefficient of a lattice point, so a point
-    is a member exactly when its residual is zero.
+    is a member exactly when its residual is zero.  The rows do not change
+    once built.  ``verdicts`` keeps what queries found: the total bit size
+    of a group element's residual (None when it cannot be scaled), keyed
+    on the element's (p, v); it stops adding at ``VALUE_TABLE_BOUND``.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.rows: list = []
         self.pivots: list = []  # pivot column of each row, strictly increasing
+        self.verdicts: dict = {}  # (p, v) -> residual bits or None
 
     def add(self, vec: Sequence[int]) -> None:
         vec = list(vec)
@@ -187,6 +192,10 @@ class MembershipVerdict(_Value):
         return self.value == MEMBER
 
 
+_IS_MEMBER, _NOT_IN_WINDOW, _NOT_SCALED = map(
+    MembershipVerdict, (MEMBER, NON_MEMBER_IN_WINDOW, UNKNOWN))
+
+
 def _scaled_point(group: GroupParams, v, window: int):
     """(d, z): the t-exponent of v and its base part scaled by det^window.
 
@@ -219,14 +228,34 @@ def _scaled_point(group: GroupParams, v, window: int):
     return d, z
 
 
-def _reduced(group: GroupParams, v, gen: Sequence[int], window: int):
-    """(d, residual): v's t-exponent and the Babai residual of its scaled
-    base part, or (d, None) when that cannot be scaled into the window."""
+def _residual_bits(group: GroupParams, v, gen: Sequence[int], window: int):
+    """(d, bits): v's t-exponent and the total bit size of the Babai
+    residual of its scaled base part, or (d, None) when that cannot be
+    scaled into the window.  bits is 0 exactly for a lattice point.
+
+    A group element's bits are kept in its window lattice's ``verdicts``,
+    keyed on (p, v): the scaled point reads only those, and d = p - q.
+    Oracle points, plain vectors and queries that raise are computed on
+    every call.
+    """
     gen = tuple(map(int, gen))
+    lat = table = None
+    if (isinstance(v, GroupElement) and window >= 0
+            and len(v.v) == len(gen) == group.m):
+        lat = _window_lattice(group.matrix, gen, window)
+        table, key = lat.verdicts, (v.p, v.v)
+        bits = table.get(key, _MISSING)
+        if bits is not _MISSING:
+            return v.p - v.q, bits
     d, z = _scaled_point(group, v, window)
-    if z is None:
-        return d, None
-    return d, _window_lattice(group.matrix, gen, window).reduce_nearest(z)
+    bits = None
+    if z is not None:
+        if lat is None:
+            lat = _window_lattice(group.matrix, gen, window)
+        bits = sum(abs(e).bit_length() for e in lat.reduce_nearest(z))
+    if table is not None and len(table) < VALUE_TABLE_BOUND:
+        table[key] = bits
+    return d, bits
 
 
 def lattice_member(group: GroupParams, v, gen: Sequence[int],
@@ -239,12 +268,12 @@ def lattice_member(group: GroupParams, v, gen: Sequence[int],
     scaled into the window and come back "unknown".  "member" is exact: it
     means a zero residual (see ``_EchelonLattice``).
     """
-    d, residual = _reduced(group, v, gen, window)
+    d, bits = _residual_bits(group, v, gen, window)
     if d != 0:
-        return MembershipVerdict(NON_MEMBER_IN_WINDOW)
-    if residual is None:
-        return MembershipVerdict(UNKNOWN)
-    return MembershipVerdict(NON_MEMBER_IN_WINDOW if any(residual) else MEMBER)
+        return _NOT_IN_WINDOW
+    if bits is None:
+        return _NOT_SCALED
+    return _NOT_IN_WINDOW if bits else _IS_MEMBER
 
 
 def subset_distance(group: GroupParams, v, gen: Sequence[int],
@@ -256,11 +285,8 @@ def subset_distance(group: GroupParams, v, gen: Sequence[int],
     distance is 0 exactly when ``lattice_member`` says "member": both read
     the same residual, and a nonzero d scores at least 2^20.
     """
-    d, residual = _reduced(group, v, gen, window)
-    penalty = _T_PENALTY * abs(d)
-    if residual is None:
-        return _MAX_DIST + penalty
-    return penalty + sum(abs(e).bit_length() for e in residual)
+    d, bits = _residual_bits(group, v, gen, window)
+    return _T_PENALTY * abs(d) + (_MAX_DIST if bits is None else bits)
 
 
 def orbit_generators(group: GroupParams, u: Vec, window: int) -> tuple:
@@ -475,16 +501,14 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     nts = grammar._nt_set
     group = plan.pub.group
 
-    yield_cache: dict = {}
+    yields = grammar._yields  # shortest word of each productive nonterminal
     scores: dict = {}  # completed word -> score, once its pair failed
 
     def completion(form: tuple) -> tuple:
         out: list = []
         for sym in form:
             if sym in nts:
-                if sym not in yield_cache:
-                    yield_cache[sym] = shortest_word(grammar, sym)
-                out.extend(yield_cache[sym])
+                out.extend(yields[sym])
             else:
                 out.append(sym)
         return tuple(out)

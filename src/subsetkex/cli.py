@@ -266,13 +266,28 @@ def _decode_instance_p1(obj):
 # kex simulation
 
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
 def _kex_public(args, protocol: str):
-    """The public block and master seed from --instance or --params."""
+    """The public block and master seed from --instance or --params.
+
+    An instance file carries its own public block, so --instance refuses
+    --params and the flags that draw a block (``_KEX_DRAWN``).  Those parse
+    as None; with --params their defaults are filled in here.
+    """
     if args.instance:
+        for flag, _ in (("--params", {}),) + _KEX_DRAWN:
+            if getattr(args, _dest(flag)) is not None:
+                raise SchemaError(f"{flag} cannot be used with --instance")
         pub, seed, _ = _read_instance(_read_json(args.instance), protocol)
         return pub, seed if args.seed is None else args.seed
     if not args.params:
         raise SchemaError("either --params or --instance is required")
+    for flag, kwargs in _KEX_DRAWN:
+        if getattr(args, _dest(flag)) is None:
+            setattr(args, _dest(flag), kwargs["default"])
     master = args.seed if args.seed is not None else 0
     return _draw_public(args, _load_group(args), master, protocol), master
 
@@ -574,7 +589,9 @@ _POLICY = (("--max-len", dict(type=int, default=16)),
 _WINDOW = ("--window", dict(type=int, default=None, help="membership lattice "
            f"window (0..{serialize.MAX_WINDOW}; default: from each candidate)"))
 _WALL_CLOCK = ("--wall-clock", dict(action="store_true"))
-_KEX = (("--params", {}), ("--instance", {}), _SIM_SEED, _RANGE, *_POLICY,
+_KEX_DRAWN = (_RANGE, *_POLICY)  # kex flags that draw a public block
+_KEX = (("--params", {}), ("--instance", {}), _SIM_SEED,
+        *((flag, dict(kwargs, default=None)) for flag, kwargs in _KEX_DRAWN),
         _OUT)
 
 # (name, help) of each command family, in help order

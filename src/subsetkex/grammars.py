@@ -12,8 +12,11 @@ finite, publishable descriptions the protocols exchange.  This module covers:
     generating subset to the subgroup it generates,
   * the conjugate-orbit grammar family t^-k w t^k.
 
-Grammars are immutable values; sampling owns its seeded generator, so
-everything here is safe for concurrent use.
+Grammars are immutable values; sampling owns its seeded generator, so a
+word depends on the grammar and the policy alone.  A ``SubsetSpec`` keeps
+a bounded table from sampled words to their elements; its entries are
+exact, so a spec shared between threads may evaluate a word twice but
+never returns another element.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ RANGE_NATURALS = "naturals"
 RANGE_INTEGERS = "integers"
 
 _SAMPLE_ATTEMPTS = 64
+VALUE_TABLE_BOUND = 128  # entries one element or verdict table keeps
 
 _T_BALANCE = {TOKEN_STABLE: 1, TOKEN_STABLE_INV: -1}
 _INF = float("inf")
@@ -171,6 +175,31 @@ class CFGrammar(_Value):
             s in length or s not in self._nt_set for s in rhs))
 
     @cached_property
+    def _yields(self) -> dict:
+        """Shortest words: one per productive nonterminal, from the picks.
+
+        Built once per grammar: each word joins the words of its picked
+        rule's symbols.  A pick changes only when its nonterminal gets
+        strictly shorter, so the picks form no cycle.
+        """
+        pick = self._shortest[1]
+        words: dict = {}
+        for root in pick:
+            stack = [root]
+            while stack:
+                nt = stack.pop()
+                if nt in words:
+                    continue
+                todo = [s for s in pick[nt] if s in pick and s not in words]
+                if todo:
+                    stack.append(nt)
+                    stack.extend(todo)
+                    continue
+                words[nt] = tuple(tok for s in pick[nt]
+                                  for tok in (words[s] if s in pick else (s,)))
+        return words
+
+    @cached_property
     def _draws(self) -> dict:
         """Sampler table: per productive lhs, its right-hand sides and their
         terminal-only subset, each as (pool, size, bits of size) or None."""
@@ -252,8 +281,26 @@ class SubsetSpec(_Value):
     def sample(self, policy: SamplePolicy) -> tuple:
         return sample_grammar(self.grammar, policy)
 
+    @cached_property
+    def _elements(self) -> dict:
+        return {}
+
     def sample_element(self, policy: SamplePolicy) -> GroupElement:
-        return self.group.evaluate(sample_grammar(self.grammar, policy))
+        """The element of a seeded sample word.
+
+        The word is drawn as ``sample``; its element is kept in a table
+        (sampled word -> element) that stops adding at
+        ``VALUE_TABLE_BOUND`` words, so a repeated word is not evaluated
+        again.
+        """
+        word = sample_grammar(self.grammar, policy)
+        elements = self._elements
+        element = elements.get(word)
+        if element is None:
+            element = self.group.evaluate(word)
+            if len(elements) < VALUE_TABLE_BOUND:
+                elements[word] = element
+        return element
 
 
 def sample_grammar(grammar: CFGrammar, policy: SamplePolicy) -> tuple:
@@ -283,7 +330,7 @@ def _derive_once(grammar, policy, rng) -> Optional[tuple]:
     nts = grammar._nt_set
     max_length = policy.max_length
     depth_cap = policy.depth_cap
-    bias = float(policy.terminal_bias)
+    bias = None  # float(policy.terminal_bias), converted when first needed
     getrandbits = rng.getrandbits
     out: list = []
     frames = [(iter((grammar.start,)), 0)]  # (rest of a rhs, its depth)
@@ -301,8 +348,11 @@ def _derive_once(grammar, policy, rng) -> Optional[tuple]:
             if steps > budget:
                 return None
             (pool, n, bits), finishers = draws[sym]
-            if depth > depth_cap and finishers and rng.random() < bias:
-                pool, n, bits = finishers
+            if depth > depth_cap and finishers:
+                if bias is None:
+                    bias = float(policy.terminal_bias)
+                if rng.random() < bias:
+                    pool, n, bits = finishers
             pick = getrandbits(bits)
             while pick >= n:
                 pick = getrandbits(bits)
@@ -486,17 +536,10 @@ def orbit_spec(group: GroupParams, word: Sequence[str], krange: str) -> SubsetSp
 
 
 def shortest_word(grammar: CFGrammar, nt: Optional[str] = None) -> tuple:
-    """A minimum-length terminal yield of ``nt`` (default: the start symbol)."""
+    """A minimum-length terminal yield of ``nt`` (default: the start symbol),
+    looked up in the grammar's table of shortest words."""
     nt = grammar.start if nt is None else nt
-    pick = grammar._shortest[1]
-    if nt not in pick:
+    yields = grammar._yields
+    if nt not in yields:
         raise GrammarError(f"nonterminal {nt!r} is unproductive")
-    out = []
-    stack = [nt]
-    while stack:
-        sym = stack.pop()
-        if grammar.is_nonterminal(sym):
-            stack.extend(reversed(pick[sym]))
-        else:
-            out.append(sym)
-    return tuple(out)
+    return yields[nt]

@@ -10,7 +10,6 @@ from subsetkex import (
     IntMatrix,
     default_length,
     lattice_member,
-    shortest_word,
     subset_distance,
     verify_break,
 )
@@ -215,6 +214,25 @@ def reference_rst_greedy(instance, max_iter, window=None):
     return False, max_iter, best, None
 
 
+def reference_shortest_word(grammar, nt=None):
+    """A shortest word of ``nt`` (default: the start symbol), spelled out
+    by walking the picked rules of ``CFGrammar._shortest``.
+
+    shortest_word looks the word up in the grammar's table instead; this
+    is the walk it is checked against.
+    """
+    pick = grammar._shortest[1]
+    out = []
+    stack = [grammar.start if nt is None else nt]
+    while stack:
+        sym = stack.pop()
+        if grammar.is_nonterminal(sym):
+            stack.extend(reversed(pick[sym]))
+        else:
+            out.append(sym)
+    return tuple(out)
+
+
 def reference_derivation_descent(instance, beam, max_nodes, max_len,
                                  window=None, words=None):
     """The beam descent that evaluates and certifies every child.
@@ -234,7 +252,8 @@ def reference_derivation_descent(instance, beam, max_nodes, max_len,
 
     def assess(form):
         word = tuple(tok for sym in form for tok in (
-            shortest_word(grammar, sym) if grammar.is_nonterminal(sym)
+            reference_shortest_word(grammar, sym)
+            if grammar.is_nonterminal(sym)
             else (sym,)))
         if words is not None:
             words.append(word)

@@ -38,11 +38,12 @@ from subsetkex import (
     p2_party_setup,
     rst_greedy,
     run_experiments,
+    sample_grammar,
     subgroup_closure,
     subset_distance,
     verify_break,
 )
-from subsetkex import attacks, cli, protocols
+from subsetkex import attacks, cli, grammars, protocols
 from subsetkex.seeding import derive_seed
 from subsetkex.serialize import MAX_WINDOW
 from conftest import (
@@ -168,6 +169,61 @@ def test_lattice_dimension_mismatch_raises(bs2, upper2):
             check(upper2, bs2.base((4,)), (1, 0), 2)
         with pytest.raises(ValueError, match="dimension mismatch"):
             check(upper2, (4, 0), (1, 0, 0), 0)
+
+
+def verdict_queries(group, gen, rng, count):
+    """Group elements at their own window and below it, each with d = 0 and
+    with a nonzero d on the same (p, v); their oracle points and, where
+    p = q = 0, their base vectors."""
+    for _ in range(count):
+        g = group.element(rng.randint(0, 3), tuple(
+            rng.randint(-6, 6) * e for e in gen), rng.randint(0, 3))
+        for elem in (g, group.element(g.p, g.v, g.p)):
+            for window in (elem.p + elem.q + 8, max(elem.p - 1, 0)):
+                yield elem, window
+                yield elem.oracle(), window
+                if elem.p == elem.q == 0:
+                    yield elem.v, window
+
+
+def test_verdict_table_matches_fresh_lattice(upper2):
+    rng = random.Random(59)
+    gen = (0, 1)
+    queries = list(verdict_queries(upper2, gen, rng, 60))
+    fresh = []
+    for v, window in queries:
+        attacks._window_lattice.cache_clear()
+        fresh.append((lattice_member(upper2, v, gen, window),
+                      subset_distance(upper2, v, gen, window)))
+    for _ in range(2):  # the second pass reads what the first one kept
+        warm = [(lattice_member(upper2, v, gen, window),
+                 subset_distance(upper2, v, gen, window))
+                for v, window in queries]
+        assert warm == fresh
+    assert {verdict.value for verdict, _ in fresh} == {
+        MEMBER, NON_MEMBER_IN_WINDOW, UNKNOWN}
+    # the three verdicts are shared values
+    assert len({id(verdict) for verdict, _ in warm}) == 3
+    # only group elements are kept, each under its (p, v)
+    elements = {(v.p, v.v) for v, _ in queries if hasattr(v, "q")}
+    kept = set()
+    for v, window in queries:
+        kept |= set(attacks._window_lattice(upper2.matrix, gen,
+                                            window).verdicts)
+    assert kept == elements
+
+
+def test_verdict_table_raises_every_time(bs2, upper2):
+    elem = upper2.element(1, (2, 3), 1)
+    assert lattice_member(upper2, elem, (0, 1), 10).value  # a kept entry
+    for _ in range(2):
+        for check in (lattice_member, subset_distance):
+            with pytest.raises(ValueError, match="window must be nonnegative"):
+                check(upper2, elem, (0, 1), -1)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                check(upper2, bs2.base((4,)), (0, 1), 10)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                check(upper2, elem, (0, 1, 0), 10)
 
 
 def lattice_queries(rng, lat, count=8):
@@ -395,6 +451,62 @@ def test_build_p1_instance_draws_two_secrets(monkeypatch):
             alice = derive_seed(seed, "alice")
             assert draws == [derive_seed(alice, "p1.a1"),
                              derive_seed(alice, "p1.b1")]
+
+
+def test_sample_element_table_matches_evaluate(monkeypatch):
+    rng = random.Random(61)
+    points = list(cli._default_grid())
+    points += [sweep_random_point(rng, i) for i in range(40)]
+    evaluated = []
+    real_evaluate = GroupParams.evaluate
+
+    def evaluate(group, word):
+        evaluated.append(tuple(word))
+        return real_evaluate(group, word)
+
+    monkeypatch.setattr(GroupParams, "evaluate", evaluate)
+    hits = 0
+    for n, point in enumerate(points):
+        pub = point.plan.pub
+        for spec in (pub.spec_a, pub.spec_b):
+            spec = SubsetSpec(spec.grammar, spec.group)  # a cold table
+            for trial in range(6):
+                policy = point.policy.with_seed(derive_seed(67, n, trial))
+                word = sample_grammar(spec.grammar, policy)
+                expect = real_evaluate(spec.group, word)
+                kept = word in spec._elements
+                evaluated.clear()
+                cold = spec.sample_element(policy)
+                assert evaluated == ([] if kept else [word])
+                evaluated.clear()
+                warm = spec.sample_element(policy)
+                assert evaluated == []  # a kept word is not evaluated again
+                assert cold == warm == spec._elements[word] == expect
+                hits += kept
+    assert hits > 100
+
+
+def test_value_tables_stop_at_bound(monkeypatch, upper2):
+    for module in (grammars, attacks):
+        monkeypatch.setattr(module, "VALUE_TABLE_BOUND", 3)
+    closure = subgroup_closure(orbit_spec(upper2, ("x1",), "integers"))
+    words = set()
+    for seed in range(40):
+        policy = SamplePolicy(max_length=12, depth_cap=3, seed=seed)
+        words.add(sample_grammar(closure.grammar, policy))
+        assert closure.sample_element(policy) == upper2.evaluate(
+            sample_grammar(closure.grammar, policy))
+        assert len(closure._elements) <= 3
+    assert len(words) > 3 and len(closure._elements) == 3
+    gen, window = (0, 1), 12
+    lat = attacks._window_lattice(upper2.matrix, gen, window)
+    lat.verdicts.clear()
+    for k in range(10):
+        v = upper2.element(1, (k, 1), 1)
+        expect = subset_distance(upper2, v.oracle(), gen, window)
+        assert subset_distance(upper2, v, gen, window) == expect
+        assert len(lat.verdicts) <= 3
+    assert len(lat.verdicts) == 3
 
 
 def test_uncertified_pair_refused(monkeypatch):
@@ -894,6 +1006,21 @@ def test_sweep_byte_identical():
     b = run_experiments(grid, 4, 123)  # the points' groups are warm now
     assert a == b == run_experiments(small_grid(), 4, 123)
     assert a.startswith("grid_id,mode,")
+
+
+def test_sweep_bytes_cold_and_warm(monkeypatch):
+    # the element and verdict tables change no byte: a sweep on fresh
+    # points and lattices, the same sweep on its warm tables, and a sweep
+    # that keeps no table entry print the same CSV
+    attacks._window_lattice.cache_clear()
+    grid = cli._default_grid()
+    cold = run_experiments(grid, 12, 29)
+    assert all(point.plan.pub.spec_a._elements for point in grid)
+    assert run_experiments(grid, 12, 29) == cold
+    for module in (grammars, attacks):
+        monkeypatch.setattr(module, "VALUE_TABLE_BOUND", 0)
+    attacks._window_lattice.cache_clear()
+    assert run_experiments(cli._default_grid(), 12, 29) == cold
 
 
 def test_sweep_abelian_full_success_and_no_false_positives():

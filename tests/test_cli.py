@@ -239,12 +239,14 @@ _PARSED = {
     "instance p2 gen --params p": ("cmd_instance_p2", dict(
         params="p", seed=0, range="integers", max_len=16, depth_cap=4,
         out=None)),
+    # None, so that --instance can refuse them; with --params they default
+    # to integers, 16 and 4 (test_kex_instance_refuses_draw_flags)
     "kex p1 simulate": ("cmd_kex_p1", dict(
-        params=None, instance=None, seed=None, range="integers", max_len=16,
-        depth_cap=4, out=None)),
+        params=None, instance=None, seed=None, range=None, max_len=None,
+        depth_cap=None, out=None)),
     "kex p2 simulate": ("cmd_kex_p2", dict(
-        params=None, instance=None, seed=None, range="integers", max_len=16,
-        depth_cap=4, out=None)),
+        params=None, instance=None, seed=None, range=None, max_len=None,
+        depth_cap=None, out=None)),
     "kex orbit-dh simulate --params p": ("cmd_kex_orbit_dh", dict(
         params="p", seed=None, max_exp=1 << 20, out=None)),
     "grammar orbit --params p --word w": ("cmd_grammar_orbit", dict(
@@ -487,6 +489,35 @@ def test_kex_p1_instance_header_checked(capsys, tmp_path, params_file,
             code, out, err = run(capsys, *argv, "--instance", str(bad))
             assert (code, out) == (2, ""), (argv, key, value)
             assert err == f"error: {message}\n"
+
+
+def test_kex_instance_refuses_draw_flags(capsys, tmp_path, params_file):
+    """An instance file carries its public block: the flags that would draw
+    one exit 2 with --instance; --seed still overrides the file's seed."""
+    for protocol in ("p1", "p2"):
+        ipath = tmp_path / f"{protocol}.json"
+        assert run(capsys, "instance", protocol, "gen", "--params",
+                   params_file, "--seed", "6", "--out", str(ipath))[0] == 0
+        kex = ("kex", protocol, "simulate")
+        code, plain, _ = run(capsys, *kex, "--instance", str(ipath))
+        assert code == 0 and json.loads(plain)["seeds"]["master"] == 6
+        for flag, value in (("--params", params_file), ("--range", "naturals"),
+                            ("--range", "integers"), ("--max-len", "16"),
+                            ("--depth-cap", "4")):
+            code, out, err = run(capsys, *kex, "--instance", str(ipath),
+                                 flag, value)
+            assert (code, out) == (2, ""), (protocol, flag)
+            assert err == f"error: {flag} cannot be used with --instance\n"
+        code, out, _ = run(capsys, *kex, "--instance", str(ipath),
+                           "--seed", "7")
+        assert code == 0 and json.loads(out)["seeds"]["master"] == 7
+        # with --params, the flags left out take their defaults
+        explicit = run(capsys, *kex, "--params", params_file, "--seed", "6",
+                       "--range", "integers", "--max-len", "16",
+                       "--depth-cap", "4")
+        assert explicit == run(capsys, *kex, "--params", params_file,
+                               "--seed", "6")
+        assert explicit[0] == 0
 
 
 def test_attack_windows_capped(capsys, tmp_path, params_file):

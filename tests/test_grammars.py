@@ -30,7 +30,7 @@ from subsetkex import (
 )
 from subsetkex.grammars import _derive_once
 
-from conftest import reference_derive_once
+from conftest import reference_derive_once, reference_shortest_word
 
 
 def enumerate_language(grammar, max_len, node_budget=200_000, start=None):
@@ -169,6 +169,40 @@ def test_sampling_soundness_via_cyk(bs2, upper2):
             w = sample_grammar(
                 grammar, SamplePolicy(max_length=18, depth_cap=3, seed=seed))
             assert cfg_membership(w, grammar), (gi, seed, w)
+
+
+class CountingFraction(Fraction):
+    """A terminal bias that counts its conversions to float."""
+
+    conversions = 0
+
+    def __float__(self):
+        CountingFraction.conversions += 1
+        return super().__float__()
+
+
+def test_terminal_bias_converted_only_past_the_depth_cap(bs2):
+    closure = subgroup_closure(orbit_spec(bs2, ("x1",), RANGE_INTEGERS))
+    deep = shallow = 0
+    for seed in range(40):
+        for depth_cap in (1, 40):
+            policy = SamplePolicy(max_length=30, depth_cap=depth_cap,
+                                  terminal_bias=CountingFraction(2, 3),
+                                  seed=seed)
+            assert isinstance(policy.terminal_bias, CountingFraction)
+            rng, ref = random.Random(seed), random.Random(seed)
+            CountingFraction.conversions = 0
+            word = _derive_once(closure.grammar, policy, rng)
+            converted = CountingFraction.conversions
+            assert word == reference_derive_once(closure.grammar, policy, ref)
+            assert rng.getstate() == ref.getstate()
+            # at most once per attempt, and only when the cap is passed
+            assert converted <= 1
+            if depth_cap == 40:
+                shallow += converted
+            else:
+                deep += converted
+    assert shallow == 0 and deep > 10
 
 
 def test_sample_budget_error():
@@ -391,6 +425,7 @@ def test_yield_facts_against_enumeration():
                 assert not language, (grammar, n)
                 continue
             word = shortest_word(grammar, n)
+            assert word == reference_shortest_word(grammar, n), (grammar, n)
             if len(word) > bound:
                 assert not language, (grammar, n)
                 continue
@@ -615,6 +650,28 @@ def test_shortest_words(bs2):
     assert cfg_membership(("x1",), closed.grammar)
     only_empty = CFGrammar(("S",), "S", (("S", ()),))
     assert shortest_word(only_empty) == ()
+    # one table per grammar, built once: each word is looked up, not walked
+    for grammar in (g, closed.grammar):
+        for nt in grammar.productive:
+            word = shortest_word(grammar, nt)
+            assert word is shortest_word(grammar, nt)
+            assert word == reference_shortest_word(grammar, nt)
+    with pytest.raises(GrammarError, match="unproductive"):
+        shortest_word(CFGrammar(("S", "U"), "S", (("S", ()), ("U", ("U",)))),
+                      "U")
+
+
+def test_shortest_word_table_shares_subwords():
+    # a shortest word may be exponential in the grammar's size; each
+    # nonterminal's word is joined once from its picked rule's words
+    n = 12
+    nts = tuple(f"A{i}" for i in range(n + 1))
+    rules = ((nts[0], ("x1",)),) + tuple(
+        (nts[i], (nts[i - 1], nts[i - 1])) for i in range(1, n + 1))
+    grammar = CFGrammar(nts[::-1], nts[-1], rules)
+    assert shortest_word(grammar) == ("x1",) * (1 << n)
+    assert all(shortest_word(grammar, nt) == reference_shortest_word(
+        grammar, nt) for nt in nts)
 
 
 # ---------------------------------------------------------------------------
