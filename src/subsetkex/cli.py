@@ -113,79 +113,14 @@ def _random_element(rng: random.Random, group: GroupParams):
     return group.element(rng.randint(0, 2), v, rng.randint(0, 2))
 
 
-def _decode_range(krange) -> str:
-    if krange not in (RANGE_NATURALS, RANGE_INTEGERS):
-        raise SchemaError(f"unknown orbit range {krange!r}")
-    return krange
-
-
-# The public block of each protocol, in wire order.  A block is a dict keyed
-# by these names; p1's u, v and p2's u_alice, u_bob are the orbit generators,
-# and orbit-dh's x is the start of its orbit.
-_PUBLIC_FIELDS = {
-    "p1": ("group", "u", "v", "w", "range", "policy"),
-    "p2": ("group", "w", "u_alice", "u_bob", "range", "policy"),
-    "orbit-dh": ("group", "x"),
-}
-# field -> (encoder, decoder of (JSON value, group)); other fields are vectors.
-# The lambdas look serialize's functions up per call, so a wrapper installed
-# on the module (perfbench's tracer) sees these calls too.
-_FIELD_CODECS = {
-    "group": (lambda group: serialize.encode_matrix(group),
-              lambda obj, _: serialize.decode_group(obj)),
-    "w": (lambda w: serialize.encode_element(w),
-          lambda obj, group: serialize.decode_element(group, obj)),
-    "range": (lambda krange: krange, lambda obj, _: _decode_range(obj)),
-    "policy": (lambda policy: serialize.encode_policy(policy),
-               lambda obj, _: serialize.decode_policy(obj)),
-}
-_VECTOR_CODEC = (lambda v: serialize.encode_vector(v),
-                 lambda obj, group: serialize.decode_vector(obj, group.m))
-# the keys of each protocol's instance file
-_INSTANCE_KEYS = {
-    "p1": ("protocol", "params", "seed", "gens_window", "target", "secrets"),
-    "p2": ("protocol", "params", "seed"),
-}
-
-
-def _public_block(protocol: str, pub: dict) -> dict:
-    return {field: _FIELD_CODECS.get(field, _VECTOR_CODEC)[0](pub[field])
-            for field in _PUBLIC_FIELDS[protocol]}
-
-
-def _decode_public(protocol: str, obj) -> dict:
-    fields = _PUBLIC_FIELDS[protocol]
-    serialize._require_keys(obj, fields, f"{protocol} params")
-    pub = {}
-    for field in fields:  # "group" first: the others are read in it
-        decode = _FIELD_CODECS.get(field, _VECTOR_CODEC)[1]
-        pub[field] = decode(obj[field], pub.get("group"))
-    return pub
-
-
 def _draw_public(args, group: GroupParams, master: int, protocol: str) -> dict:
-    """Seeded public block of p1 or p2: vectors in wire order, then w."""
+    """Seeded public block of p1 or p2: orbit vectors in wire order, then w."""
     rng = random.Random(derive_seed(master, f"instance.{protocol}"))
-    vectors = [f for f in _PUBLIC_FIELDS[protocol] if f not in _FIELD_CODECS]
-    pub = {field: _random_nonzero_vec(rng, group.m) for field in vectors}
+    keys = serialize.SCHEMAS[f"{protocol} params"].keys
+    pub = {key: _random_nonzero_vec(rng, group.m)
+           for key, codec in keys.items() if codec.kind == "orbit"}
     return dict(pub, group=group, w=_random_element(rng, group),
                 range=args.range, policy=_policy_from(args, master))
-
-
-def _read_instance(obj, protocol: str):
-    """Checked header of an instance file: (public block, seed, gens_window).
-
-    Only a p1 file has a ``gens_window``; it is None for p2.
-    """
-    serialize._require_keys(obj, _INSTANCE_KEYS[protocol],
-                            f"{protocol} instance")
-    if obj["protocol"] != protocol:
-        raise SchemaError(f"instance protocol must be {protocol!r}")
-    pub = _decode_public(protocol, obj["params"])
-    seed = serialize._as_int(obj["seed"], "instance seed")
-    gens_window = (serialize.decode_window(obj["gens_window"], "gens_window")
-                   if "gens_window" in obj else None)
-    return pub, seed, gens_window
 
 
 def _p1_round(pub: dict, master: int):
@@ -218,48 +153,25 @@ def cmd_instance_p1(args) -> int:
     gens_window = serialize.decode_window(args.gens_window, "gens_window")
     pub = _draw_public(args, _load_group(args), args.seed, "p1")
     _, _, (alice, msg_a, bob, _) = _p1_round(pub, args.seed)
-    _emit(args, {
-        "protocol": "p1",
-        "params": _public_block("p1", pub),
-        "seed": args.seed,
-        "gens_window": gens_window,
-        "target": serialize.encode_element(msg_a),
-        "secrets": {
-            "a1": serialize.encode_element(alice.a),
-            "b1": serialize.encode_element(alice.b),
-            "a2": serialize.encode_element(bob.a),
-            "b2": serialize.encode_element(bob.b),
-        },
-    })
+    _emit(args, serialize.SCHEMAS["p1 instance"].encode(dict(
+        pub, seed=args.seed, gens_window=gens_window, target=msg_a,
+        a1=alice.a, b1=alice.b, a2=bob.a, b2=bob.b)))
     return 0
 
 
 def cmd_instance_p2(args) -> int:
     pub = _draw_public(args, _load_group(args), args.seed, "p2")
-    _emit(args, {"protocol": "p2", "params": _public_block("p2", pub),
-                 "seed": args.seed})
+    _emit(args, serialize.SCHEMAS["p2 instance"].encode(dict(pub, seed=args.seed)))
     return 0
 
 
-def _decode_instance_p1(obj):
-    """The attack instance of a p1 instance file.
-
-    The target's stable exponents are capped at ``serialize.MAX_WINDOW``:
-    without ``--window`` a candidate right factor gets the window
-    p + q + 8 from its own exponents, and the lattice work grows faster
-    than linearly in it.
-    """
+def _attack_instance(inst: dict):
+    """The attack instance of a decoded p1 instance file."""
     from . import attacks
 
-    pub, _, gens_window = _read_instance(obj, "p1")
-    group = pub["group"]
-    plan = attacks.AttackPlan.p1(group, pub["u"], pub["v"], pub["w"],
-                                 pub["range"], gens_window)
-    target = serialize.decode_element(group, obj["target"])
-    if max(target.p, target.q) > serialize.MAX_WINDOW:
-        raise SchemaError(
-            f"target stable exponents exceed {serialize.MAX_WINDOW}")
-    return attacks.AttackInstance(plan, target)
+    plan = attacks.AttackPlan.p1(inst["group"], inst["u"], inst["v"],
+                                 inst["w"], inst["range"], inst["gens_window"])
+    return attacks.AttackInstance(plan, inst["target"])
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +193,9 @@ def _kex_public(args, protocol: str):
         for flag, _ in (("--params", {}),) + _KEX_DRAWN:
             if getattr(args, _dest(flag)) is not None:
                 raise SchemaError(f"{flag} cannot be used with --instance")
-        pub, seed, _ = _read_instance(_read_json(args.instance), protocol)
-        return pub, seed if args.seed is None else args.seed
+        pub = serialize.SCHEMAS[f"{protocol} instance"].decode(
+            _read_json(args.instance))
+        return pub, pub["seed"] if args.seed is None else args.seed
     if not args.params:
         raise SchemaError("either --params or --instance is required")
     for flag, kwargs in _KEX_DRAWN:
@@ -292,11 +205,11 @@ def _kex_public(args, protocol: str):
     return _draw_public(args, _load_group(args), master, protocol), master
 
 
-def _emit_transcript(args, protocol: str, params: dict, encode, messages,
+def _emit_transcript(args, protocol: str, pub: dict, encode, messages,
                      keys, seeds: dict) -> None:
     _emit(args, {
         "protocol": protocol,
-        "params": params,
+        "params": serialize.SCHEMAS[f"{protocol} params"].encode(pub),
         "messages": [encode(msg) for msg in messages],
         "keys": {"alice": encode(keys[0]), "bob": encode(keys[1])},
         "seeds": seeds,
@@ -310,9 +223,8 @@ def cmd_kex_p1(args) -> int:
     setup, (seed_a, seed_b), round_ = _p1_round(pub, master)
     alice, msg_a, bob, msg_b = round_
     keys = protocols.p1_keys(setup, alice, msg_b, bob, msg_a)
-    _emit_transcript(args, "p1", _public_block("p1", pub),
-                     serialize.encode_element, (msg_a, msg_b), keys,
-                     {"master": master, "alice": seed_a, "bob": seed_b})
+    _emit_transcript(args, "p1", pub, serialize.encode_element, (msg_a, msg_b),
+                     keys, {"master": master, "alice": seed_a, "bob": seed_b})
     return 0
 
 
@@ -331,8 +243,7 @@ def cmd_kex_p2(args) -> int:
                                    policy.with_seed(seed_b), krange)
     _, msgs, keys = protocols.p2_exchange_full(
         setup, alice, bob, policy.with_seed(seed_x))
-    _emit_transcript(args, "p2", _public_block("p2", pub),
-                     serialize.encode_element, msgs, keys,
+    _emit_transcript(args, "p2", pub, serialize.encode_element, msgs, keys,
                      {"master": master, "alice": seed_a, "bob": seed_b,
                       "exchange": seed_x})
     return 0
@@ -357,8 +268,7 @@ def cmd_kex_orbit_dh(args) -> int:
         raise SchemaError(f"orbit-dh key may exceed {limit} decimal digits")
     msg_a, msg_b, key = protocols.orbit_dh(group, x, m_a, n_b,
                                            max_exp=args.max_exp)
-    _emit_transcript(args, "orbit-dh",
-                     _public_block("orbit-dh", {"group": group, "x": x}),
+    _emit_transcript(args, "orbit-dh", {"group": group, "x": x},
                      serialize.encode_vector, (msg_a, msg_b), (key, key),
                      {"master": master})
     return 0
@@ -416,7 +326,8 @@ def _run_attack(args, search, **options) -> int:
     """
     window = (None if args.window is None
               else serialize.decode_window(args.window, "window"))
-    instance = _decode_instance_p1(_read_json(args.instance))
+    instance = _attack_instance(
+        serialize.SCHEMAS["p1 instance"].decode(_read_json(args.instance)))
     t0 = time.perf_counter()
     result = search(instance, window=window, **options)
     elapsed = time.perf_counter() - t0 if args.wall_clock else 0.0
@@ -468,66 +379,22 @@ def _default_grid() -> tuple:
     return tuple(attacks.GridPoint(**point) for point in _DEFAULT_GRID)
 
 
-_GRID_REQUIRED = frozenset({"grid_id", "rows", "u", "v", "w"})
-# optional integer fields of a grid entry -> least value; GridPoint holds
-# their defaults
-_GRID_COUNTS = {"max_length": 1, "depth_cap": 1, "max_iter": 0, "beam": 1,
-                "max_nodes": 0}
-_GRID_KNOWN = _GRID_REQUIRED | set(_GRID_COUNTS) | {
-    "range", "gens_window", "window"}
-
-
-def _decode_grid(obj) -> tuple:
+def _grid_point(entry: dict):
+    """The sweep point of a decoded grid entry; keys left out take
+    GridPoint's defaults."""
     from . import attacks
 
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError("grid must be a nonempty JSON array")
-    points = []
-    for entry in obj:
-        if not isinstance(entry, dict):
-            raise SchemaError("grid entries must be objects")
-        if not _GRID_REQUIRED <= set(entry):
-            raise SchemaError(
-                f"grid entry needs the keys {sorted(_GRID_REQUIRED)}")
-        unknown = set(entry) - _GRID_KNOWN
-        if unknown:
-            raise SchemaError(f"unknown grid entry keys {sorted(unknown)}")
-        grid_id = entry["grid_id"]
-        if not isinstance(grid_id, str) or any(c in grid_id for c in ",\r\n"):
-            raise SchemaError(
-                "grid_id must be a string without commas or line breaks")
-        rows = entry["rows"]
-        group = serialize.decode_group(
-            {"m": len(rows) if isinstance(rows, list) else 0, "rows": rows})
-        w = serialize.decode_element(group, entry["w"])
-        given = {key: serialize._as_int(entry[key], key)
-                 for key in _GRID_COUNTS if key in entry}
-        for key, least in _GRID_COUNTS.items():
-            if given.get(key, least) < least:
-                raise SchemaError(f"{key} must be at least 1" if least else
-                                  f"{key} must be nonnegative")
-        if "gens_window" in entry:
-            given["gens_window"] = serialize.decode_window(
-                entry["gens_window"], "gens_window")
-        if entry.get("window") is not None:  # null: from each candidate
-            given["window"] = serialize.decode_window(entry["window"], "window")
-        if "range" in entry:
-            given["krange"] = _decode_range(entry["range"])
-        u, v = (serialize.decode_vector(entry[key], group.m)
-                for key in ("u", "v"))
-        if not (any(u) and any(v)):
-            raise SchemaError("orbit word must be nonempty")
-        points.append(attacks.GridPoint(
-            grid_id=grid_id, rows=group.matrix.rows, u=u, v=v,
-            w=(w.p, w.v, w.q), **given,
-        ))
-    return tuple(points)
+    w = entry["w"]
+    fields = dict(entry, rows=entry["rows"].matrix.rows, w=(w.p, w.v, w.q))
+    fields["krange"] = fields.pop("range", attacks.GridPoint.krange)
+    return attacks.GridPoint(**fields)
 
 
 def cmd_attack_sweep(args) -> int:
     from . import attacks
 
-    grid = _decode_grid(_read_json(args.grid)) if args.grid else _default_grid()
+    grid = (tuple(map(_grid_point, serialize.decode_grid(_read_json(args.grid))))
+            if args.grid else _default_grid())
     clock = time.perf_counter if args.wall_clock else None
     out = attacks.run_experiments(grid, args.trials, args.seed, clock=clock,
                                   collect=bool(args.trials_json))

@@ -1,10 +1,10 @@
 """Canonical JSON wire formats.
 
-Field order is fixed and emission is canonical (compact separators, no key
-sorting beyond construction order), so parse -> emit round-trips are
-byte-identical.  Big integers travel as decimal strings (ASCII
-``0|-?[1-9][0-9]*``) inside element and vector encodings; matrix entries
-are plain JSON integers, never ``-0``; duplicate keys are refused.
+Emission is canonical: keys in wire order, compact separators.  Decoders
+take any key order and layout, so parse -> emit returns canonical text byte
+for byte and normalises the rest.  Big integers travel as decimal strings
+(ASCII ``0|-?[1-9][0-9]*``) inside element and vector encodings; matrix
+entries are plain JSON integers, never ``-0``; duplicate keys are refused.
 
     matrix   {"m":2,"rows":[[2,1],[0,3]]}
     element  {"p":1,"v":["3","-7"],"q":0}
@@ -12,7 +12,11 @@ are plain JSON integers, never ``-0``; duplicate keys are refused.
     grammar  {"nonterminals":[...],"start":"S","rules":[{"lhs":..,"rhs":[..]}]}
     policy   {"max_length":24,"depth_cap":4,"terminal_bias":"3/4","seed":0}
 
-Decoders validate shape strictly (exact key sets, value types) and raise
+The files built from these (public blocks, instance files, grid entries)
+are the rows of SCHEMAS; ``Row.decode`` walks a row and ``Row.encode``
+emits it.
+
+Decoders validate shape strictly (key sets, value types) and raise
 SchemaError; anything structural beyond that (say, an empty-language
 grammar) surfaces as the owning module's error.  Element stable exponents
 above MAX_STABLE_EXPONENT are refused: Britton reduction may take one step
@@ -37,7 +41,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .grammars import CFGrammar, SamplePolicy
+from .grammars import RANGE_INTEGERS, RANGE_NATURALS, CFGrammar, SamplePolicy
 from .groups import GroupElement, GroupParams, IntMatrix, is_valid_token
 
 __all__ = [
@@ -45,7 +49,8 @@ __all__ = [
     "SchemaError", "dumps", "loads", "encode_matrix", "decode_group",
     "encode_vector", "decode_vector", "encode_element", "decode_element",
     "encode_word", "decode_word", "encode_grammar", "decode_grammar",
-    "encode_policy", "decode_policy", "decode_window",
+    "encode_policy", "decode_policy", "decode_window", "Codec", "Row",
+    "SCHEMAS", "decode_grid",
 ]
 
 
@@ -85,14 +90,20 @@ def loads(text: str):
         raise SchemaError(f"invalid JSON: {exc}") from None
 
 
-def _require_keys(obj, keys, what: str) -> None:
+def _require_keys(obj, keys, what: str, optional=()) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} must be a JSON object")
-    if set(obj) != set(keys):
+    if not optional and set(obj) != set(keys):
         raise SchemaError(
             f"{what} must have exactly the keys {sorted(keys)}, "
             f"got {sorted(obj)}"
         )
+    required = set(keys) - set(optional)
+    if not required <= set(obj):
+        raise SchemaError(f"{what} needs the keys {sorted(required)}")
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise SchemaError(f"unknown {what} keys {sorted(unknown)}")
 
 
 def _as_int(value, what: str) -> int:
@@ -228,32 +239,13 @@ def decode_grammar(obj) -> CFGrammar:
 
 
 def encode_policy(policy: SamplePolicy) -> dict:
-    return {
-        "max_length": policy.max_length,
-        "depth_cap": policy.depth_cap,
-        "terminal_bias": str(policy.terminal_bias),
-        "seed": policy.seed,
-    }
+    return _POLICY_FIELDS.encode(vars(policy))
 
 
 def decode_policy(obj) -> SamplePolicy:
-    _require_keys(
-        obj, ("max_length", "depth_cap", "terminal_bias", "seed"), "policy")
-    bias_raw = obj["terminal_bias"]
-    if not isinstance(bias_raw, str):
-        raise SchemaError("policy terminal_bias must be a rational string")
     try:
-        bias = Fraction(bias_raw)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"bad rational {bias_raw!r}") from None
-    try:
-        return SamplePolicy(
-            max_length=_as_int(obj["max_length"], "policy max_length"),
-            depth_cap=_as_int(obj["depth_cap"], "policy depth_cap"),
-            terminal_bias=bias,
-            seed=_as_int(obj["seed"], "policy seed"),
-        )
-    except ValueError as exc:
+        return SamplePolicy(**_POLICY_FIELDS.decode(obj))
+    except ValueError as exc:  # SamplePolicy's own checks
         raise SchemaError(str(exc)) from None
 
 
@@ -265,3 +257,142 @@ def decode_window(value, what: str) -> int:
     if value > MAX_WINDOW:
         raise SchemaError(f"{what} exceeds {MAX_WINDOW}")
     return value
+
+
+# ---------------------------------------------------------------------------
+# file schemas
+
+
+class Codec:
+    """How one key travels: ``encode(value)`` gives its JSON, and
+    ``decode(obj, group, key)`` reads it back in the file's group."""
+
+    def __init__(self, kind: str, decode, encode=lambda value: value):
+        self.kind, self.decode, self.encode = kind, decode, encode
+
+
+class Row:
+    """A file kind: its keys in wire order, each with a Codec, a nested Row
+    (whose values join the outer row's) or a constant string, and the keys
+    it may omit, each with its least value (None: no least value)."""
+
+    def __init__(self, what: str, optional: Optional[dict] = None, **keys):
+        self.what, self.optional, self.keys = what, optional or {}, keys
+
+    def decode(self, obj, values: Optional[dict] = None) -> dict:
+        """The values of a file of this kind by key, its nested rows' too.
+        Keys are read in wire order, each in the file's group (its ``group``
+        or a grid entry's ``rows``), so the group comes first."""
+        _require_keys(obj, self.keys, self.what, self.optional)
+        values = {} if values is None else values
+        for key, codec in self.keys.items():
+            if isinstance(codec, Row):
+                codec.decode(obj[key], values)
+            elif isinstance(codec, str):
+                if obj[key] != codec:
+                    raise SchemaError(f"instance {key} must be {codec!r}")
+            elif key in obj:
+                group = values.get("group", values.get("rows"))
+                value = values[key] = codec.decode(obj[key], group, key)
+                least = self.optional.get(key)
+                if least is not None and value < least:
+                    raise SchemaError(f"{key} must be at least {least}" if
+                                      least else f"{key} must be nonnegative")
+        return values
+
+    def encode(self, values: dict) -> dict:
+        """The JSON object of a file of this kind, keys in wire order; an
+        optional key is emitted only where ``values`` has it."""
+        return {key: (codec if isinstance(codec, str)
+                      else codec.encode(values) if isinstance(codec, Row)
+                      else codec.encode(values[key]))
+                for key, codec in self.keys.items()
+                if key in values or key not in self.optional}
+
+
+def _decode_range(obj, group, key) -> str:
+    if obj not in (RANGE_NATURALS, RANGE_INTEGERS):
+        raise SchemaError(f"unknown orbit range {obj!r}")
+    return obj
+
+
+def _decode_orbit(obj, group, key) -> tuple:
+    v = decode_vector(obj, group.m)
+    if not any(v):
+        raise SchemaError("orbit word must be nonempty")
+    return v
+
+
+def _decode_target(obj, group, key) -> GroupElement:
+    # without a window, a candidate right factor gets p + q + 8 from its own
+    # exponents, and the lattice work grows faster than linearly in it
+    target = decode_element(group, obj)
+    if max(target.p, target.q) > MAX_WINDOW:
+        raise SchemaError(f"target stable exponents exceed {MAX_WINDOW}")
+    return target
+
+
+def _decode_rational(obj, group, key) -> Fraction:
+    if not isinstance(obj, str):
+        raise SchemaError(f"policy {key} must be a rational string")
+    try:
+        return Fraction(obj)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"bad rational {obj!r}") from None
+
+
+def _decode_grid_id(obj, group, key) -> str:
+    if not isinstance(obj, str) or any(c in obj for c in ",\r\n"):
+        raise SchemaError("grid_id must be a string without commas or line breaks")
+    return obj
+
+
+_GROUP = Codec("group", lambda obj, group, key: decode_group(obj), encode_matrix)
+_ORBIT = Codec("orbit", _decode_orbit, encode_vector)  # a nonzero vector
+_ELEMENT = Codec("element", lambda obj, group, key: decode_element(group, obj),
+                 encode_element)
+_RANGE = Codec("range", _decode_range)
+_POLICY = Codec("policy", lambda obj, group, key: decode_policy(obj),
+                encode_policy)
+_WINDOW = Codec("window", lambda obj, group, key: decode_window(obj, key))
+_COUNT = Codec("count", lambda obj, group, key: _as_int(obj, key))
+_SEED = Codec("seed", lambda obj, group, key: _as_int(obj, "instance seed"))
+_POLICY_INT = Codec("int", lambda obj, group, key: _as_int(obj, f"policy {key}"))
+_POLICY_FIELDS = Row("policy", max_length=_POLICY_INT, depth_cap=_POLICY_INT,
+                     terminal_bias=Codec("rational", _decode_rational, str),
+                     seed=_POLICY_INT)
+_P1_PUBLIC = Row("p1 params", group=_GROUP, u=_ORBIT, v=_ORBIT, w=_ELEMENT,
+                 range=_RANGE, policy=_POLICY)
+_P2_PUBLIC = Row("p2 params", group=_GROUP, w=_ELEMENT, u_alice=_ORBIT,
+                 u_bob=_ORBIT, range=_RANGE, policy=_POLICY)
+
+# every file kind that the CLI reads or writes, by name
+SCHEMAS = {row.what: row for row in (
+    _P1_PUBLIC, _P2_PUBLIC, Row("orbit-dh params", group=_GROUP, x=_ORBIT),
+    Row("p1 instance", protocol="p1", params=_P1_PUBLIC, seed=_SEED,
+        gens_window=_WINDOW,
+        target=Codec("target", _decode_target, encode_element),
+        secrets=Row("p1 secrets", a1=_ELEMENT, b1=_ELEMENT, a2=_ELEMENT,
+                    b2=_ELEMENT)),
+    Row("p2 instance", protocol="p2", params=_P2_PUBLIC, seed=_SEED),
+    # a sweep grid entry: its group's matrix rows travel bare, and the
+    # sweep takes attacks.GridPoint's default for each key left out
+    Row("grid entry", dict(range=None, max_length=1, depth_cap=1, max_iter=0,
+                           beam=1, max_nodes=0, gens_window=None, window=None),
+        grid_id=Codec("grid_id", _decode_grid_id),
+        rows=Codec("group", lambda obj, group, key: decode_group(
+            {"m": len(obj) if isinstance(obj, list) else 0, "rows": obj}),
+            lambda group: encode_matrix(group)["rows"]),
+        u=_ORBIT, v=_ORBIT, w=_ELEMENT, range=_RANGE, max_length=_COUNT,
+        depth_cap=_COUNT, max_iter=_COUNT, beam=_COUNT, max_nodes=_COUNT,
+        gens_window=_WINDOW,
+        window=Codec("window or null", lambda obj, group, key:
+                     None if obj is None else decode_window(obj, key))),
+)}
+
+
+def decode_grid(obj) -> tuple:
+    """The decoded entries of a sweep grid, a nonempty JSON array."""
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError("grid must be a nonempty JSON array")
+    return tuple(SCHEMAS["grid entry"].decode(entry) for entry in obj)

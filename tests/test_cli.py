@@ -491,6 +491,36 @@ def test_kex_p1_instance_header_checked(capsys, tmp_path, params_file,
             assert err == f"error: {message}\n"
 
 
+def _drop_b2(obj):
+    del obj["secrets"]["b2"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.update(secrets="garbage"),
+     "p1 secrets must be a JSON object"),
+    (_drop_b2, "p1 secrets must have exactly the keys "
+               "['a1', 'a2', 'b1', 'b2'], got ['a1', 'a2', 'b1']"),
+    (lambda obj: obj.update(target="garbage"),
+     "element must be a JSON object"),
+    (lambda obj: obj.update(target={"p": serialize.MAX_WINDOW + 1,
+                                    "v": ["1", "0"], "q": 0}),
+     f"target stable exponents exceed {serialize.MAX_WINDOW}"),
+], ids=["secrets-garbage", "secrets-without-b2", "target-garbage",
+        "target-p-over-window"])
+def test_p1_instance_readers_refuse_alike(capsys, tmp_path, p1_instance,
+                                          edit, message):
+    """Every reader of a p1 instance file decodes all of it with one
+    decoder, so a malformed file gets the same refusal from each."""
+    obj = json.loads(p1_instance.read_text())
+    edit(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    for argv in (("kex", "p1", "simulate"), ("attack", "rst"),
+                 ("attack", "descent")):
+        code, out, err = run(capsys, *argv, "--instance", str(bad))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_kex_instance_refuses_draw_flags(capsys, tmp_path, params_file):
     """An instance file carries its public block: the flags that would draw
     one exit 2 with --instance; --seed still overrides the file's seed."""
@@ -551,7 +581,7 @@ def test_attack_windows_capped(capsys, tmp_path, params_file):
     grid = tmp_path / "grid.json"
     entry = {"grid_id": "g", "rows": [[2]], "u": ["1"], "v": ["1"],
              "w": {"p": 1, "v": ["1"], "q": 1}}
-    assert cli._decode_grid([dict(entry, window=cap, gens_window=cap)])
+    assert serialize.decode_grid([dict(entry, window=cap, gens_window=cap)])
     for value in (cap + 1, -1):
         refused(("instance", "p1", "gen", "--params", params_file,
                  "--gens-window", str(value)), "gens_window", value)
@@ -578,7 +608,8 @@ def test_attack_grid_entries_checked(capsys, tmp_path):
                        "--trials", "1")
     assert code == 0 and out.startswith("grid_id,")
     assert time.perf_counter() - t0 < 15.0  # about 2.4 s on a 2-CPU Xeon
-    (point,) = cli._decode_grid([dict(entry, max_iter=5)])
+    (point,) = map(cli._grid_point,
+                   serialize.decode_grid([dict(entry, max_iter=5)]))
     assert (point.max_iter, point.beam) == (5, attacks.GridPoint.beam)
     for key, value, message in (
             ("w", {"p": cap + 1, "v": ["1"], "q": 0},
@@ -621,8 +652,9 @@ def test_attack_target_exponents_capped(capsys, tmp_path, p1_instance):
     # the largest target accepted; (1, 0) is not in the image of M, so
     # the exponents survive reduction
     largest = with_target(cap, cap)
-    inst = cli._decode_instance_p1(json.loads(path.read_text()))
-    assert (inst.target.p, inst.target.q) == (cap, cap)
+    inst = serialize.SCHEMAS["p1 instance"].decode(
+        json.loads(path.read_text()))
+    assert (inst["target"].p, inst["target"].q) == (cap, cap)
     t0 = time.perf_counter()
     for attack in ("rst", "descent"):  # default budgets, no --window
         code, out, _ = run(capsys, "attack", attack, *largest)
@@ -643,10 +675,10 @@ def test_attack_instance_built_the_sweep_way(capsys, tmp_path, params_file):
                      "--seed", seed, "--max-len", "8", "--out",
                      str(path)]) == 0
         obj = json.loads(path.read_text())
-        pub, _, gens_window = cli._read_instance(obj, "p1")
+        pub = serialize.SCHEMAS["p1 instance"].decode(obj)
         plan = attacks.AttackPlan.p1(pub["group"], pub["u"], pub["v"],
-                                     pub["w"], pub["range"], gens_window)
-        assert cli._decode_instance_p1(obj).plan == plan
+                                     pub["w"], pub["range"], pub["gens_window"])
+        assert cli._attack_instance(pub).plan == plan
         target = serialize.decode_element(pub["group"], obj["target"])
         result = attacks.rst_greedy(attacks.AttackInstance(plan, target),
                                     max_iter=30)
@@ -731,14 +763,14 @@ def test_negative_counts_refused(capsys, tmp_path, params_file, p1_instance):
     """Budgets and trial counts below 0 are refused where they are read."""
     entry = {"grid_id": "g", "rows": [[2]], "u": ["1"], "v": ["1"],
              "w": {"p": 1, "v": ["1"], "q": 1}}
-    assert cli._decode_grid([dict(entry, max_iter=0, max_nodes=0, beam=1,
-                                  max_length=1, depth_cap=1)])
+    assert serialize.decode_grid([dict(entry, max_iter=0, max_nodes=0,
+                                       beam=1, max_length=1, depth_cap=1)])
     inst = str(p1_instance)
     grids = {}
     for key, value in (("max_iter", -5), ("max_nodes", -5), ("beam", 0),
                        ("max_length", 0), ("depth_cap", -1)):
         with pytest.raises(serialize.SchemaError):
-            cli._decode_grid([dict(entry, **{key: value})])
+            serialize.decode_grid([dict(entry, **{key: value})])
         grids[key] = tmp_path / f"{key}.json"
         # a good first entry: the bad one is refused before any entry runs
         grids[key].write_text(json.dumps([entry, dict(entry, **{key: value})]))

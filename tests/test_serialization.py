@@ -3,6 +3,7 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subsetkex import (
     GroupElement,
@@ -14,7 +15,11 @@ from subsetkex import (
     orbit_spec,
 )
 from subsetkex.serialize import (
+    MAX_DIM,
     MAX_STABLE_EXPONENT,
+    MAX_WINDOW,
+    SCHEMAS,
+    Row,
     SchemaError,
     decode_element,
     decode_grammar,
@@ -222,3 +227,123 @@ def test_policy_round_trip():
     with pytest.raises(SchemaError):
         decode_policy({"max_length": 1, "depth_cap": 1,
                        "terminal_bias": 0.5, "seed": 0})
+
+
+def test_layout_normalised():
+    """Decoders take any key order, layout, string escape, rational
+    spelling and unreduced element, and the encoders emit the canonical
+    text: the normalisations README's "Wire formats" lists."""
+    row = SCHEMAS["grid entry"]
+    text = ('{ "w": {"q": 1, "v": ["2"], "p": 1},\n  "rows": [[2]],'
+            ' "grid_id": "\\u0067\\/", "v": ["1"], "u": ["1"], "max_iter": 5 }')
+    assert dumps(row.encode(row.decode(loads(text)))) == (
+        '{"grid_id":"g/","rows":[[2]],"u":["1"],"v":["1"],'
+        '"w":{"p":0,"v":["1"],"q":0},"max_iter":5}')
+    for bias in ("6/8", "0.75", " 3/4 "):
+        obj = {"seed": 0, "terminal_bias": bias, "depth_cap": 4,
+               "max_length": 24}
+        assert dumps(encode_policy(decode_policy(obj))) == (
+            '{"max_length":24,"depth_cap":4,"terminal_bias":"3/4","seed":0}')
+
+
+# values of every size a decoder takes, some of them extreme
+_INTS = st.integers(-3, 3) | st.sampled_from((2 ** 64, -(3 ** 200),
+                                              10 ** 1000 + 7))
+
+
+@st.composite
+def _groups(draw):
+    if draw(st.booleans()):  # the largest dimension, diagonal
+        diagonal = draw(st.lists(st.sampled_from((1, -1, 2 ** 40)),
+                                 min_size=MAX_DIM, max_size=MAX_DIM))
+        return GroupParams(IntMatrix(tuple(
+            tuple(d * (i == j) for j in range(MAX_DIM))
+            for i, d in enumerate(diagonal))))
+    m = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3) | st.sampled_from((2 ** 40, -(2 ** 70)))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m).map(tuple),
+                         min_size=m, max_size=m).map(tuple))
+    try:
+        return GroupParams(IntMatrix(rows))
+    except ValueError:  # singular
+        return GroupParams(IntMatrix(((1,),)))
+
+
+def _vectors(group):
+    return st.lists(_INTS, min_size=group.m, max_size=group.m).map(tuple)
+
+
+def _elements(group, cap):
+    return st.builds(group.element, st.integers(0, 3) | st.just(cap),
+                     _vectors(group), st.integers(0, 3))
+
+
+# Codec kind -> strategy of its decoded values, given the file's group and
+# the key's least value
+_VALUES = {
+    "group": lambda group, least: _groups(),
+    "orbit": lambda group, least: _vectors(group).filter(any),
+    "element": lambda group, least: _elements(group, MAX_STABLE_EXPONENT),
+    "target": lambda group, least: _elements(group, MAX_WINDOW),
+    "range": lambda group, least: st.sampled_from(("naturals", "integers")),
+    "policy": lambda group, least: st.builds(
+        SamplePolicy, st.integers(1, 10 ** 30), st.integers(1, 10 ** 30),
+        st.fractions(0, 1).filter(lambda f: f > 0), _INTS),
+    "window": lambda group, least: st.integers(0, MAX_WINDOW),
+    "window or null": lambda group, least: (
+        st.none() | st.integers(0, MAX_WINDOW)),
+    "count": lambda group, least: st.integers(least, 10 ** 30) | st.just(least),
+    "seed": lambda group, least: _INTS,
+    "grid_id": lambda group, least: st.text(
+        st.characters(exclude_characters=",\r\n")),
+}
+
+
+def _draw_values(draw, row, values, context):
+    """Draw a value for each key of row (and of its nested rows) that a
+    file must have or, by a coin flip, may have."""
+    for key, codec in row.keys.items():
+        if isinstance(codec, Row):
+            _draw_values(draw, codec, values, context)
+        elif not isinstance(codec, str) and (
+                key not in row.optional or draw(st.booleans())):
+            values[key] = draw(_VALUES[codec.kind](
+                context.get("group"), row.optional.get(key)))
+            if codec.kind == "group":
+                context["group"] = values[key]
+
+
+def _objects(row, obj):
+    """(row, JSON object) of a file and of each object nested in it."""
+    yield row, obj
+    for key, codec in row.keys.items():
+        if isinstance(codec, Row):
+            yield from _objects(codec, obj[key])
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_schema_round_trip_and_refusals(name, data):
+    """Every row of the table: emit -> parse -> emit is byte-identical, and
+    dropping, adding or retyping one key is refused."""
+    row = SCHEMAS[name]
+    values = {}
+    _draw_values(data.draw, row, values, {})
+    text = dumps(row.encode(values))
+    again = row.decode(loads(text))
+    assert again == values
+    assert dumps(row.encode(again)) == text
+    obj = loads(text)
+    at, target = data.draw(st.sampled_from(list(_objects(row, obj))))
+    how = data.draw(st.sampled_from(("drop", "add", "retype")))
+    if how == "drop":
+        del target[data.draw(st.sampled_from(
+            [key for key in at.keys if key not in at.optional]))]
+    elif how == "add":
+        target["extra"] = 0
+    else:
+        key = data.draw(st.sampled_from(sorted(target)))
+        target[key] = "x" if isinstance(target[key], list) else []
+    with pytest.raises(SchemaError):
+        row.decode(obj)
