@@ -22,7 +22,7 @@ _EXPORTS = {
     "groups": (
         "GroupElement", "GroupParams", "IntMatrix", "OracleElement",
         "WordCapExceeded", "default_length", "invert_token", "is_valid_token",
-        "make_token", "word_inverse",
+        "make_token",
     ),
     "grammars": (
         "CFGrammar", "GrammarError", "RANGE_INTEGERS", "RANGE_NATURALS",

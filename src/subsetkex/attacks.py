@@ -341,12 +341,12 @@ class AttackPlan(_Value):
     """The trial-invariant attack data of one point, shared by its trials.
 
     ``pub`` is the p1 public data and ``gen_b`` the published right orbit
-    generator v, which certifies candidate right factors.  ``gens_a``
-    switches on generator mode (a finite approximation of the left subset,
-    such as ``orbit_generators`` of the published u); when None the grammar
-    of pub.spec_a is attacked directly.  w^-1, the greedy walk, the
-    descent root and ``heads`` (completed left word -> head w^-1 a^-1; it
-    stops adding at ``HEAD_TABLE_BOUND`` words) are built on first use.
+    generator v, which certifies candidate right factors.  ``gens_a`` is a
+    finite approximation of the left subset, such as ``orbit_generators``
+    of the published u, which ``rst_greedy`` walks (it refuses None); the
+    descent reads the grammar of pub.spec_a.  w^-1, the greedy walk and
+    ``heads`` (completed left word -> (a, w^-1 a^-1); it stops adding at
+    ``HEAD_TABLE_BOUND`` words) are built on first use.
 
     ``window`` is not a field: each search takes it, and nothing kept here
     depends on it (window lattices are cached by matrix, see
@@ -381,22 +381,15 @@ class AttackPlan(_Value):
     def heads(self) -> dict:
         return {}
 
-    @cached_property
-    def root(self) -> tuple:
-        """(word, (a, head)) of the left grammar's shortest word, a kept."""
-        word = shortest_word(self.pub.spec_a.grammar)
-        a, head = self.head(word)
-        return word, (self.pub.group.evaluate(word) if a is None else a, head)
-
     def head(self, word: tuple) -> tuple:
-        """(a, w^-1 a^-1) of a left word; a is None when the head was kept."""
-        if word in self.heads:
-            return None, self.heads[word]
-        a = self.pub.group.evaluate(word)
-        head = self.w_inverse * a.inverse()
-        if len(self.heads) < HEAD_TABLE_BOUND:
-            self.heads[word] = head
-        return a, head
+        """(a, w^-1 a^-1) of a left word, kept in ``heads``."""
+        pair = self.heads.get(word)
+        if pair is None:
+            a = self.pub.group.evaluate(word)
+            pair = a, self.w_inverse * a.inverse()
+            if len(self.heads) < HEAD_TABLE_BOUND:
+                self.heads[word] = pair
+        return pair
 
 
 class AttackInstance(_Value):
@@ -488,8 +481,9 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
     Each partial derivation is completed optimistically (remaining
     nonterminals replaced by their shortest terminal yields, which keeps
     the completion inside the language), inducing a left-factor candidate
-    whose right factor is scored by ``default_length``.  Heads w^-1 a^-1
-    are kept on the plan (``AttackPlan.heads``), scores per search: a form
+    whose right factor is scored by ``default_length``.  Pairs
+    (a, w^-1 a^-1) are kept on the plan (``AttackPlan.heads``), so a kept
+    word is never evaluated again, and scores per search: a form
     completing to a word already assessed (its pair failed) joins the beam
     with that score.  Success is certified as in the greedy attack, and
     ``iterations`` counts the expanded nodes, repeats included.
@@ -513,21 +507,21 @@ def derivation_descent(instance: AttackInstance, beam: int = 8,
                 out.append(sym)
         return tuple(out)
 
-    def assess(word: tuple, kept: Optional[tuple] = None) -> tuple:
+    def assess(word: tuple) -> tuple:
         """(score, None), or (0, pair) when the word's pair breaks target."""
         if word in scores:
             return scores[word], None
-        a_cand, head = kept or plan.head(word)
+        a_cand, head = plan.head(word)
         b_cand = head * target  # head = w^-1 a^-1
         if lattice_member(group, b_cand, plan.gen_b,
                           _membership_window(b_cand, window)).is_member:
-            pair = (group.evaluate(word) if a_cand is None else a_cand, b_cand)
-            if verify_break(plan.pub, target, target, *pair, *pair):
-                return 0, pair
+            if verify_break(plan.pub, target, target, a_cand, b_cand,
+                            a_cand, b_cand):
+                return 0, (a_cand, b_cand)
         scores[word] = s = default_length(b_cand)
         return s, None
 
-    best, pair = assess(*plan.root)
+    best, pair = assess(shortest_word(grammar))
     if pair is not None:
         return AttackResult(True, pair, 0, 0)
 
@@ -617,31 +611,20 @@ def build_p1_instance(point: GridPoint, trial_seed: int) -> AttackInstance:
     return AttackInstance(plan, alice.a * plan.pub.w * alice.b)
 
 
-def _run_one(point: GridPoint, mode: str, trial_seed: int) -> AttackResult:
-    instance = build_p1_instance(point, trial_seed)
-    if mode == "rst":
-        return rst_greedy(instance, max_iter=point.max_iter,
-                          window=point.window)
-    if mode == "descent":
-        return derivation_descent(instance, beam=point.beam,
-                                  max_nodes=point.max_nodes,
-                                  max_len=point.max_length,
-                                  window=point.window)
-    raise ValueError(f"unknown attack mode {mode!r}")
-
-
 def run_experiments(grid: Sequence[GridPoint], trials: int, seed: int,
                     clock: Optional[Callable[[], float]] = None,
-                    collect: bool = False):
-    """Run both attacks over the grid; returns CSV text (and trial records).
+                    record: Optional[Callable[[dict], None]] = None) -> str:
+    """Run both attacks over the grid; returns CSV text.
 
-    Per-trial seeds derive from the master seed, and the default clock is
-    constant, so identical calls produce identical bytes.  Pass a real
-    clock (time.perf_counter) to record wall-time means instead.
+    Each trial builds one record (grid_id, mode, trial, success,
+    iterations, best_score as a string, elapsed_ms to 3 places), which
+    sums into its CSV row and goes to ``record`` when given.  Per-trial
+    seeds derive from the master seed, and the default clock is constant,
+    so identical calls produce identical bytes.  Pass a real clock
+    (time.perf_counter) to record wall-time means instead.
     """
     clock = clock if clock is not None else zero_clock
     lines = [CSV_HEADER]
-    records = []
     for point in grid:
         for mode in ("rst", "descent"):
             if trials <= 0:
@@ -653,26 +636,31 @@ def run_experiments(grid: Sequence[GridPoint], trials: int, seed: int,
                 trial_seed = derive_seed(
                     seed, "sweep", point.grid_id, mode, trial)
                 t0 = clock()
-                result = _run_one(point, mode, trial_seed)
+                instance = build_p1_instance(point, trial_seed)
+                if mode == "rst":
+                    result = rst_greedy(instance, max_iter=point.max_iter,
+                                        window=point.window)
+                else:
+                    result = derivation_descent(
+                        instance, beam=point.beam, max_nodes=point.max_nodes,
+                        max_len=point.max_length, window=point.window)
                 elapsed_ms = (clock() - t0) * 1000.0
-                successes += int(result.success)
-                total_iters += result.iterations
+                trial_record = {
+                    "grid_id": point.grid_id,
+                    "mode": mode,
+                    "trial": trial,
+                    "success": result.success,
+                    "iterations": result.iterations,
+                    "best_score": str(result.best_score),
+                    "elapsed_ms": round(elapsed_ms, 3),
+                }
+                successes += trial_record["success"]
+                total_iters += trial_record["iterations"]
                 total_ms += elapsed_ms
-                if collect:
-                    records.append({
-                        "grid_id": point.grid_id,
-                        "mode": mode,
-                        "trial": trial,
-                        "success": result.success,
-                        "iterations": result.iterations,
-                        "best_score": str(result.best_score),
-                        "elapsed_ms": round(elapsed_ms, 3),
-                    })
+                if record is not None:
+                    record(trial_record)
             lines.append(
                 f"{point.grid_id},{mode},{trials},{successes},"
                 f"{total_iters / trials:.3f},{total_ms / trials:.3f}"
             )
-    csv_text = "\n".join(lines) + "\n"
-    if collect:
-        return csv_text, records
-    return csv_text
+    return "\n".join(lines) + "\n"

@@ -396,13 +396,12 @@ def cmd_attack_sweep(args) -> int:
     grid = (tuple(map(_grid_point, serialize.decode_grid(_read_json(args.grid))))
             if args.grid else _default_grid())
     clock = time.perf_counter if args.wall_clock else None
-    out = attacks.run_experiments(grid, args.trials, args.seed, clock=clock,
-                                  collect=bool(args.trials_json))
+    records = []
+    csv_text = attacks.run_experiments(
+        grid, args.trials, args.seed, clock=clock,
+        record=records.append if args.trials_json else None)
     if args.trials_json:
-        csv_text, records = out
         _write_text(args.trials_json, serialize.dumps(records) + "\n")
-    else:
-        csv_text = out
     _emit(args, csv_text)
     return 0
 

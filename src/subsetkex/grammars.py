@@ -278,9 +278,6 @@ class SubsetSpec(_Value):
                     f"terminal {tok!r} is outside the rank-{group.m} alphabet"
                 )
 
-    def sample(self, policy: SamplePolicy) -> tuple:
-        return sample_grammar(self.grammar, policy)
-
     @cached_property
     def _elements(self) -> dict:
         return {}
@@ -288,8 +285,8 @@ class SubsetSpec(_Value):
     def sample_element(self, policy: SamplePolicy) -> GroupElement:
         """The element of a seeded sample word.
 
-        The word is drawn as ``sample``; its element is kept in a table
-        (sampled word -> element) that stops adding at
+        The word is drawn by ``sample_grammar``; its element is kept in a
+        table (sampled word -> element) that stops adding at
         ``VALUE_TABLE_BOUND`` words, so a repeated word is not evaluated
         again.
         """

@@ -46,7 +46,7 @@ from typing import Iterable, Optional, Sequence
 __all__ = [
     "IntMatrix", "GroupParams", "GroupElement", "OracleElement",
     "WordCapExceeded", "default_length", "make_token", "invert_token",
-    "is_valid_token", "token_dimension", "word_inverse",
+    "is_valid_token", "token_dimension",
 ]
 
 Vec = tuple  # length-m tuple of int entries
@@ -107,11 +107,6 @@ def invert_token(token: str) -> str:
         raise ValueError(f"invalid token {token!r}")
     i = int(match.group(1))
     return make_token(i, inverse=match.group(2) is None)
-
-
-def word_inverse(word: Sequence[str]) -> tuple:
-    """Formal inverse of a word: reversed, with every token inverted."""
-    return tuple(invert_token(tok) for tok in reversed(tuple(word)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +261,6 @@ class IntMatrix(_Value):
         if det != self.det or _mat_mul_rows(self.rows, adj_rows) != scaled:
             raise ArithmeticError("adjugate certificate M adj(M) = det I failed")
         return _trusted_matrix(adj_rows)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("matrix dimension mismatch")
-        return IntMatrix(_mat_mul_rows(self.rows, other.rows))
 
 
 def matrix_power(mat: IntMatrix, k: int) -> IntMatrix:
@@ -660,10 +648,6 @@ class OracleElement(_Value):
         self.__dict__.update(group=group, a=a, d=d)
         if len(a) != group.m:
             raise ValueError("vector dimension mismatch")
-
-    @classmethod
-    def neutral(cls, group: GroupParams) -> "OracleElement":
-        return cls(group, (Fraction(0),) * group.m, 0)
 
     def __mul__(self, other: "OracleElement") -> "OracleElement":
         if not isinstance(other, OracleElement):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -79,7 +80,12 @@ def _unique_keys(pairs) -> dict:
 def _plain_int(text: str) -> int:
     if text == "-0":  # json.loads would read it as 0 and it re-emits as 0
         raise SchemaError("JSON integer -0 is not canonical")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # the only failure: past Python's digit limit
+        raise SchemaError(
+            f"JSON integer exceeds {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def loads(text: str):

@@ -9,6 +9,7 @@ from subsetkex import (
     GroupParams,
     IntMatrix,
     default_length,
+    invert_token,
     lattice_member,
     subset_distance,
     verify_break,
@@ -127,6 +128,11 @@ def reference_window_lattice(matrix, gen, window):
         lat.add([e * scale for e in row])
     lat.normalize()
     return lat
+
+
+def word_inverse(word):
+    """Formal inverse of a word: reversed, with every token inverted."""
+    return tuple(invert_token(tok) for tok in reversed(tuple(word)))
 
 
 def reference_derive_once(grammar, policy, rng):

@@ -39,6 +39,7 @@ from subsetkex import (
     rst_greedy,
     run_experiments,
     sample_grammar,
+    shortest_word,
     subgroup_closure,
     subset_distance,
     verify_break,
@@ -389,17 +390,21 @@ def test_build_p1_instance_cold_or_warm(monkeypatch):
     assert warm.plan is cold.plan is shared.plan  # built once per point
     assert cold.pub.group is shared.group
     assert build_p1_instance(shared, 0) != cold  # the draws are per trial
-    # the walk and the root are built by the first search that reads them,
-    # then kept for the point's later trials
+    # the walk and the head table are built by the first search that reads
+    # them, then kept for the point's later trials
     plan = shared.plan
     kept = []
     for trial in (0, 9):
         searched = rst_greedy(build_p1_instance(shared, trial), max_iter=8)
         assert searched.iterations > 0  # the walk was read
         derivation_descent(build_p1_instance(shared, trial), max_nodes=16)
-        kept.append((plan.walk, plan.root, plan.heads))
+        kept.append((plan.walk, plan.heads))
     assert all(now is then for now, then in zip(*kept))
-    assert plan.root[0] in plan.heads  # the root's head is in the table
+    # the descent's first word, the grammar's shortest, is in the table
+    word = shortest_word(plan.pub.spec_a.grammar)
+    a, head = plan.heads[word]
+    assert a == shared.group.evaluate(word)
+    assert head == plan.w_inverse * a.inverse()
 
 
 def full_round_instance(point, seed):
@@ -863,7 +868,7 @@ def test_descent_tests_each_word_once_and_keeps_heads(monkeypatch):
     monkeypatch.setattr(attacks, "lattice_member", member)
     monkeypatch.setattr(GroupParams, "evaluate", evaluate)
     point = m2_upper()
-    kept_hits = members_evaluated = 0
+    kept_hits = members = 0
     for trial in range(20):
         inst = build_p1_instance(point, derive_seed(41, trial))
         words = []
@@ -878,13 +883,12 @@ def test_descent_tests_each_word_once_and_keeps_heads(monkeypatch):
         # one lattice test per distinct completed word of the search
         tests = sum(kind == "member" for kind, _ in events)
         assert tests == len(set(words))
-        # a kept head is not evaluated again, but a member's a is
-        for i, (kind, value) in enumerate(events):
-            if kind == "evaluate" and value in kept:
-                assert events[i - 1] == ("member", True), trial
-                members_evaluated += 1
+        # a kept word is never evaluated again
+        evaluated = {value for kind, value in events if kind == "evaluate"}
+        assert not kept & evaluated, trial
+        members += events.count(("member", True))
         kept_hits += len(kept & set(words))
-    assert kept_hits > 20 and members_evaluated > 0
+    assert kept_hits > 20 and members > 0
 
 
 def test_head_table_bound(monkeypatch):
@@ -1006,6 +1010,27 @@ def test_sweep_byte_identical():
     b = run_experiments(grid, 4, 123)  # the points' groups are warm now
     assert a == b == run_experiments(small_grid(), 4, 123)
     assert a.startswith("grid_id,mode,")
+    # one record per trial, in sweep order, each summed into its CSV row;
+    # passing ``record`` changes no CSV byte
+    rng = random.Random(31)
+    grid = cli._default_grid() + tuple(sweep_random_point(rng, i)
+                                       for i in range(3))
+    records = []
+    csv_text = run_experiments(grid, 3, 31, record=records.append)
+    assert csv_text == run_experiments(grid, 3, 31)
+    rows = csv_text.splitlines()[1:]
+    assert len(rows) == 2 * len(grid) and len(records) == 3 * len(rows)
+    for n, row in enumerate(rows):
+        point, mode = grid[n // 2], ("rst", "descent")[n % 2]
+        mine = records[3 * n:3 * n + 3]
+        assert [(r["grid_id"], r["mode"], r["trial"]) for r in mine] == [
+            (point.grid_id, mode, trial) for trial in range(3)]
+        successes = sum(r["success"] for r in mine)
+        mean_iters = sum(r["iterations"] for r in mine) / 3
+        assert row == (f"{point.grid_id},{mode},3,{successes},"
+                       f"{mean_iters:.3f},0.000")
+        assert all(r["elapsed_ms"] == 0.0 and type(r["best_score"]) is str
+                   for r in mine)
 
 
 def test_sweep_bytes_cold_and_warm(monkeypatch):
@@ -1024,7 +1049,8 @@ def test_sweep_bytes_cold_and_warm(monkeypatch):
 
 
 def test_sweep_abelian_full_success_and_no_false_positives():
-    csv_text, records = run_experiments(small_grid(), 8, 9, collect=True)
+    records = []
+    csv_text = run_experiments(small_grid(), 8, 9, record=records.append)
     rst_row = [ln for ln in csv_text.splitlines() if ln.startswith("abelian,rst")]
     assert rst_row and rst_row[0].split(",")[3] == "8"
     for rec in records:

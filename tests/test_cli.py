@@ -495,6 +495,11 @@ def _drop_b2(obj):
     del obj["secrets"]["b2"]
 
 
+# json.dumps cannot write an int past Python's digit limit, so the test
+# writes this string's JSON literal in its place
+_SEED_5001_DIGITS = "1" + "0" * 5000
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda obj: obj.update(secrets="garbage"),
      "p1 secrets must be a JSON object"),
@@ -505,8 +510,10 @@ def _drop_b2(obj):
     (lambda obj: obj.update(target={"p": serialize.MAX_WINDOW + 1,
                                     "v": ["1", "0"], "q": 0}),
      f"target stable exponents exceed {serialize.MAX_WINDOW}"),
+    (lambda obj: obj.update(seed=_SEED_5001_DIGITS),
+     f"JSON integer exceeds {sys.get_int_max_str_digits()} digits"),
 ], ids=["secrets-garbage", "secrets-without-b2", "target-garbage",
-        "target-p-over-window"])
+        "target-p-over-window", "seed-5001-digits"])
 def test_p1_instance_readers_refuse_alike(capsys, tmp_path, p1_instance,
                                           edit, message):
     """Every reader of a p1 instance file decodes all of it with one
@@ -514,7 +521,8 @@ def test_p1_instance_readers_refuse_alike(capsys, tmp_path, p1_instance,
     obj = json.loads(p1_instance.read_text())
     edit(obj)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
+    bad.write_text(json.dumps(obj).replace(f'"{_SEED_5001_DIGITS}"',
+                                           _SEED_5001_DIGITS))
     for argv in (("kex", "p1", "simulate"), ("attack", "rst"),
                  ("attack", "descent")):
         code, out, err = run(capsys, *argv, "--instance", str(bad))

@@ -145,7 +145,8 @@ def sweep_transcript() -> str:
     rng = random.Random(7)
     grid = _default_grid() + tuple(sweep_random_point(rng, i)
                                    for i in range(12))
-    _, records = run_experiments(grid, 4, 7, collect=True)
+    records = []
+    run_experiments(grid, 4, 7, record=records.append)
     lines = [",".join(str(r[key]) for key in (
         "grid_id", "mode", "trial", "success", "iterations", "best_score"))
         for r in records]

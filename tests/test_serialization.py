@@ -1,5 +1,6 @@
 """Wire formats: canonical emission, strict decoding, byte-stable round trips."""
 
+import sys
 import time
 
 import pytest
@@ -167,6 +168,17 @@ def test_plain_integer_minus_zero_refused():
     text = '{"m":2,"rows":[[2,0],[-10,-3]]}'
     assert dumps(encode_matrix(decode_group(loads(text)))) == text
     assert loads("[0,-1,10,-10,-0.0]") == [0, -1, 10, -10, 0.0]
+
+
+def test_plain_integer_past_digit_limit_refused():
+    # int() raises a plain ValueError past Python's integer-string limit
+    limit = sys.get_int_max_str_digits()
+    for text in ('{"seed": 1' + "0" * limit + "}",
+                 "[-" + "9" * (limit + 1) + "]"):
+        with pytest.raises(SchemaError,
+                           match=f"^JSON integer exceeds {limit} digits$"):
+            loads(text)
+    assert loads("[" + "9" * limit + "]") == [10 ** limit - 1]
 
 
 def test_vector_and_word(bs2):
