@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .grammars import VALUE_TABLE_BOUND, SamplePolicy, shortest_word
@@ -53,7 +52,7 @@ __all__ = [
     "AttackPlan", "AttackInstance", "AttackResult", "GridPoint",
     "lattice_member", "subset_distance", "orbit_generators", "rst_greedy",
     "derivation_descent", "verify_break", "build_p1_instance",
-    "run_experiments", "zero_clock", "CSV_HEADER",
+    "run_experiments",
 ]
 
 MEMBER = "member"
@@ -154,8 +153,7 @@ class _EchelonLattice:
         return vec
 
 
-@lru_cache(maxsize=256)
-def _window_lattice(matrix: IntMatrix, gen: Vec, window: int) -> _EchelonLattice:
+def _window_lattice(group: GroupParams, gen: Vec, window: int) -> _EchelonLattice:
     """Echelon basis of span{gen M^k : -K <= k <= K}, scaled by det(M)^K.
 
     det^K gen M^k = r M^(K+k) with r = gen adj(M)^K.  By Cayley-Hamilton
@@ -163,19 +161,26 @@ def _window_lattice(matrix: IntMatrix, gen: Vec, window: int) -> _EchelonLattice
     integer combination of earlier rows, so r M^j for j <= min(2K, m - 1)
     span the lattice: at most m rows instead of 2K+1.
 
-    Keyed on the matrix so that the cache pins no group (nor its power memo).
+    Trusted: gen is m integers and K >= 0 (``_residual_bits`` checks).  The
+    lattice is kept on the group, in ``group._lattices`` under (gen, K),
+    which stops adding at ``VALUE_TABLE_BOUND`` entries; a dropped group
+    takes its lattices with it.
     """
-    if len(gen) != matrix.dim:
-        raise ValueError("vector dimension mismatch")
+    key = gen, window
+    lat = group._lattices.get(key)
+    if lat is not None:
+        return lat
     row = gen
     for _ in range(window):
-        row = _vec_mat(row, matrix.adjugate)
-    lat = _EchelonLattice(matrix.dim)
+        row = _vec_mat(row, group.adjugate)
+    lat = _EchelonLattice(group.m)
     lat.add(row)
-    for _ in range(min(2 * window, matrix.dim - 1)):
-        row = _vec_mat(row, matrix)
+    for _ in range(min(2 * window, group.m - 1)):
+        row = _vec_mat(row, group.matrix)
         lat.add(row)
     lat.normalize()
+    if len(group._lattices) < VALUE_TABLE_BOUND:
+        group._lattices[key] = lat
     return lat
 
 
@@ -200,13 +205,10 @@ def _scaled_point(group: GroupParams, v, window: int):
     """(d, z): the t-exponent of v and its base part scaled by det^window.
 
     z is None when not integral.  For t^p u t^-q, whose base part is
-    u M^-p = u adj(M)^p / det^p, z stays in the integers.
+    u M^-p = u adj(M)^p / det^p, z stays in the integers.  Trusted: v is
+    a group element or an oracle point of dimension m, and window >= 0.
     """
-    if window < 0:
-        raise ValueError("window must be nonnegative")
     if isinstance(v, GroupElement):
-        if len(v.v) != group.m:
-            raise ValueError("vector dimension mismatch")
         p = v.p
         z, d = _vec_mat(v.v, group._power(-p)) if p else v.v, p - v.q
         if window >= p:
@@ -214,18 +216,14 @@ def _scaled_point(group: GroupParams, v, window: int):
             return d, [e * scale for e in z]
         div = group.det ** (p - window)
         return d, None if any(e % div for e in z) else [e // div for e in z]
-    if isinstance(v, OracleElement):
-        a, d = v.a, v.d
-    else:
-        a, d = tuple(Fraction(int(e)) for e in v), 0
     scale = group.det ** window
     z = []
-    for f in a:
+    for f in v.a:
         num = f * scale
         if num.denominator != 1:
-            return d, None
+            return v.d, None
         z.append(num.numerator)
-    return d, z
+    return v.d, z
 
 
 def _residual_bits(group: GroupParams, v, gen: Sequence[int], window: int):
@@ -233,25 +231,31 @@ def _residual_bits(group: GroupParams, v, gen: Sequence[int], window: int):
     residual of its scaled base part, or (d, None) when that cannot be
     scaled into the window.  bits is 0 exactly for a lattice point.
 
-    A group element's bits are kept in its window lattice's ``verdicts``,
-    keyed on (p, v): the scaled point reads only those, and d = p - q.
-    Oracle points, plain vectors and queries that raise are computed on
-    every call.
+    The one check of ``lattice_member`` and ``subset_distance``: window
+    >= 0, and gen and the query of dimension m.  A plain vector is read as
+    its base element.  A group element's bits are kept in its window
+    lattice's ``verdicts``, keyed on (p, v): the scaled point reads only
+    those, and d = p - q.  Oracle points and queries that raise are
+    computed on every call.
     """
     gen = tuple(map(int, gen))
-    lat = table = None
-    if (isinstance(v, GroupElement) and window >= 0
-            and len(v.v) == len(gen) == group.m):
-        lat = _window_lattice(group.matrix, gen, window)
-        table, key = lat.verdicts, (v.p, v.v)
+    if window < 0:
+        raise ValueError("window must be nonnegative")
+    if not isinstance(v, (GroupElement, OracleElement)):
+        v = group.base(v)
+    point = v.v if isinstance(v, GroupElement) else v.a
+    if len(gen) != group.m or len(point) != group.m:
+        raise ValueError("vector dimension mismatch")
+    lat = _window_lattice(group, gen, window)
+    table = lat.verdicts if isinstance(v, GroupElement) else None
+    if table is not None:
+        key = v.p, v.v
         bits = table.get(key, _MISSING)
         if bits is not _MISSING:
             return v.p - v.q, bits
     d, z = _scaled_point(group, v, window)
     bits = None
     if z is not None:
-        if lat is None:
-            lat = _window_lattice(group.matrix, gen, window)
         bits = sum(abs(e).bit_length() for e in lat.reduce_nearest(z))
     if table is not None and len(table) < VALUE_TABLE_BOUND:
         table[key] = bits
@@ -343,20 +347,19 @@ class AttackPlan(_Value):
     ``pub`` is the p1 public data and ``gen_b`` the published right orbit
     generator v, which certifies candidate right factors.  ``gens_a`` is a
     finite approximation of the left subset, such as ``orbit_generators``
-    of the published u, which ``rst_greedy`` walks (it refuses None); the
-    descent reads the grammar of pub.spec_a.  w^-1, the greedy walk and
+    of the published u, which ``rst_greedy`` walks; the descent reads the
+    grammar of pub.spec_a.  w^-1, the greedy walk and
     ``heads`` (completed left word -> (a, w^-1 a^-1); it stops adding at
     ``HEAD_TABLE_BOUND`` words) are built on first use.
 
     ``window`` is not a field: each search takes it, and nothing kept here
-    depends on it (window lattices are cached by matrix, see
+    depends on it (window lattices are kept on the group, see
     ``_window_lattice``), so one plan serves every window.
     """
 
     _fields = ("pub", "gens_a", "gen_b")
 
-    def __init__(self, pub: PublicParams1, gens_a: Optional[tuple],
-                 gen_b: Vec):
+    def __init__(self, pub: PublicParams1, gens_a: tuple, gen_b: Vec):
         self.__dict__.update(pub=pub, gens_a=gens_a, gen_b=gen_b)
 
     @classmethod
@@ -407,7 +410,7 @@ class AttackInstance(_Value):
 
 def rst_greedy(instance: AttackInstance, max_iter: int = 200,
                window: Optional[int] = None) -> AttackResult:
-    """Greedy one-generator-at-a-time attack on a generator-mode instance.
+    """Greedy one-generator-at-a-time walk over the plan's left generators.
 
     Starting from the identity, every iteration appends the generator (or
     inverse) whose induced right factor w^-1 a^-1 target scores closest to
@@ -433,8 +436,6 @@ def rst_greedy(instance: AttackInstance, max_iter: int = 200,
     ``max_iter``.
     """
     plan, target = instance.plan, instance.target
-    if plan.gens_a is None:
-        raise ValueError("rst_greedy needs generator mode (gens_a supplied)")
     group = plan.pub.group
 
     def distance(b_cand: GroupElement) -> int:

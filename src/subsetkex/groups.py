@@ -227,17 +227,6 @@ class IntMatrix(_Value):
         if self.det == 0:
             raise ValueError("matrix determinant must be nonzero")
 
-    # written out here and in GroupParams and GroupElement, with the values
-    # the generic methods give: the window-lattice cache hashes matrices,
-    # and element comparisons reach all three
-    def __eq__(self, other):
-        if other.__class__ is not IntMatrix:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.rows,))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -320,6 +309,8 @@ class GroupParams(_Value):
     def __init__(self, matrix: IntMatrix):
         self.__dict__["matrix"] = matrix
 
+    # written out here and in GroupElement, with the values the generic
+    # methods give, since element comparisons and hashes reach both
     def __eq__(self, other):
         if other.__class__ is not GroupParams:
             return NotImplemented
@@ -403,6 +394,11 @@ class GroupParams(_Value):
 
     @cached_property
     def _powers(self) -> dict:
+        return {}
+
+    @cached_property
+    def _lattices(self) -> dict:
+        """(gen, window) -> window lattice, kept by ``attacks``."""
         return {}
 
     def _power(self, k: int) -> IntMatrix:

@@ -112,8 +112,9 @@ def reference_window_lattice(matrix, gen, window):
     """The window lattice built from all 2K+1 scaled rows.
 
     Row k is det^K gen M^k for -K <= k <= K, written with the adjugate for
-    k < 0.  attacks._window_lattice builds the same lattice from at most m
-    rows; this is the construction it is checked against.
+    k < 0.  attacks._window_lattice builds the same lattice, over the group
+    of this matrix, from at most m rows and keeps it on that group; this is
+    the construction it is checked against.
     """
     det = matrix.det
     adjugate = matrix.adjugate

@@ -193,7 +193,7 @@ def test_verdict_table_matches_fresh_lattice(upper2):
     queries = list(verdict_queries(upper2, gen, rng, 60))
     fresh = []
     for v, window in queries:
-        attacks._window_lattice.cache_clear()
+        upper2._lattices.clear()
         fresh.append((lattice_member(upper2, v, gen, window),
                       subset_distance(upper2, v, gen, window)))
     for _ in range(2):  # the second pass reads what the first one kept
@@ -205,12 +205,12 @@ def test_verdict_table_matches_fresh_lattice(upper2):
         MEMBER, NON_MEMBER_IN_WINDOW, UNKNOWN}
     # the three verdicts are shared values
     assert len({id(verdict) for verdict, _ in warm}) == 3
-    # only group elements are kept, each under its (p, v)
+    # only group elements are kept, each under its (p, v); a plain vector
+    # is kept as its base element, which is queried too
     elements = {(v.p, v.v) for v, _ in queries if hasattr(v, "q")}
     kept = set()
     for v, window in queries:
-        kept |= set(attacks._window_lattice(upper2.matrix, gen,
-                                            window).verdicts)
+        kept |= set(attacks._window_lattice(upper2, gen, window).verdicts)
     assert kept == elements
 
 
@@ -225,6 +225,10 @@ def test_verdict_table_raises_every_time(bs2, upper2):
                 check(upper2, bs2.base((4,)), (0, 1), 10)
             with pytest.raises(ValueError, match="dimension mismatch"):
                 check(upper2, elem, (0, 1, 0), 10)
+            for query in ((0, 27, 0), (1,), bs2.base((4,)).oracle()):
+                with pytest.raises(ValueError,
+                                   match="^vector dimension mismatch$"):
+                    check(upper2, query, (0, 1), 3)
 
 
 def lattice_queries(rng, lat, count=8):
@@ -253,7 +257,7 @@ def test_window_lattice_echelon_guarantees():
     for rows, gen in cases:
         group = GroupParams(IntMatrix(rows))
         for window in (0, 1, 8):
-            lat = attacks._window_lattice(group.matrix, gen, window)
+            lat = attacks._window_lattice(group, gen, window)
             assert lat.pivots == sorted(set(lat.pivots))
             for row, j in zip(lat.rows, lat.pivots):
                 assert not any(row[:j]) and row[j] > 0
@@ -282,9 +286,10 @@ def test_window_lattice_matches_all_rows_reference():
     windows = (0, 1, 2, 8, 12, MAX_WINDOW)
     rank_seen = set()
     for rows, gen in cases:
-        matrix = IntMatrix(rows)
+        group = GroupParams(IntMatrix(rows))
+        matrix = group.matrix
         for window in windows:
-            lat = attacks._window_lattice(matrix, gen, window)
+            lat = attacks._window_lattice(group, gen, window)
             ref = reference_window_lattice(matrix, gen, window)
             assert len(lat.rows) <= matrix.dim
             assert lat.pivots == ref.pivots
@@ -347,7 +352,7 @@ def test_integer_membership_matches_oracle():
         point = elem.oracle()
         scaled = [f * group.det ** window for f in point.a]
         if point.d == 0 and all(f.denominator == 1 for f in scaled):
-            lat = attacks._window_lattice(group.matrix, gen, window)
+            lat = attacks._window_lattice(group, gen, window)
             member = reference_contains(lat, [f.numerator for f in scaled])
             assert verdict.is_member == member
             referenced.add(member)
@@ -504,14 +509,22 @@ def test_value_tables_stop_at_bound(monkeypatch, upper2):
         assert len(closure._elements) <= 3
     assert len(words) > 3 and len(closure._elements) == 3
     gen, window = (0, 1), 12
-    lat = attacks._window_lattice(upper2.matrix, gen, window)
-    lat.verdicts.clear()
+    lat = attacks._window_lattice(upper2, gen, window)
     for k in range(10):
         v = upper2.element(1, (k, 1), 1)
         expect = subset_distance(upper2, v.oracle(), gen, window)
         assert subset_distance(upper2, v, gen, window) == expect
         assert len(lat.verdicts) <= 3
     assert len(lat.verdicts) == 3
+    # the group keeps three lattices; the others are built on every query
+    # and give what a fresh group's lattices give
+    fresh = GroupParams(upper2.matrix)
+    for window in range(8):
+        v = upper2.element(1, (window, 1), 1)
+        assert subset_distance(upper2, v, gen, window) == subset_distance(
+            fresh, v, gen, window)
+        assert len(upper2._lattices) <= 3
+    assert len(upper2._lattices) == 3 and upper2._lattices[gen, 12] is lat
 
 
 def test_uncertified_pair_refused(monkeypatch):
@@ -679,7 +692,7 @@ def test_single_residual_certificate_agrees():
                                     * target)):
                 win = attacks._membership_window(b_cand, point.window)
                 d, z = attacks._scaled_point(group, b_cand, win)
-                lattice = attacks._window_lattice(group.matrix, gen, win)
+                lattice = attacks._window_lattice(group, gen, win)
                 member = (d == 0 and z is not None
                           and reference_contains(lattice, z))
                 breaks = member and verify_break(
@@ -698,16 +711,18 @@ def test_single_residual_certificate_agrees():
 
 
 def test_dropped_points_pin_no_group():
-    # the per-point caches live on the point and its plan, and the module
-    # caches are keyed on matrices and words, so a dropped point frees its
-    # group and its public data
+    # the per-point caches live on the point, its plan and its group (the
+    # window lattices), and the module caches are keyed on words, so a
+    # dropped point frees its group, its public data and its lattices
     rng = random.Random(47)
     refs = []
     for i in range(20):
         point = sweep_random_point(rng, i)
         run_experiments([point], 2, i)  # rst and descent, two trials each
-        refs += [weakref.ref(point.group), weakref.ref(point.plan.pub)]
-    del point
+        lattice = next(iter(point.group._lattices.values()))
+        refs += [weakref.ref(point.group), weakref.ref(point.plan.pub),
+                 weakref.ref(lattice)]
+    del point, lattice
     gc.collect()
     assert [ref for ref in refs if ref() is not None] == []
 
@@ -742,13 +757,6 @@ def test_success_requires_recovered_pair():
     assert AttackResult(False, None, 3, 7).recovered is None
 
 
-def test_rst_requires_generator_mode(flat2):
-    w = flat2.element(1, (1, 1), 0)
-    pub = p1_setup(flat2, (1, 0), (0, 1), w)
-    with pytest.raises(ValueError):
-        rst_greedy(AttackInstance(AttackPlan(pub, None, (0, 1)), w))
-
-
 def test_rst_deterministic(flat2):
     for seed in (3, 9):
         r1 = rst_greedy(abelian_instance(seed), max_iter=12)
@@ -763,7 +771,7 @@ def test_rst_deterministic(flat2):
 def test_descent_trivial_target(flat2):
     w = flat2.element(1, (1, 1), 0)
     pub = p1_setup(flat2, (1, 0), (0, 1), w)
-    inst = AttackInstance(AttackPlan(pub, None, (0, 1)), w)
+    inst = AttackInstance(AttackPlan(pub, (), (0, 1)), w)
     result = derivation_descent(inst, beam=4, max_nodes=64, max_len=8)
     assert result.success and result.iterations == 0
     assert result.recovered[0].is_identity()
@@ -790,7 +798,7 @@ def test_descent_depth_one_found_with_wide_beam(upper2):
     b1 = upper2.base((0, 2)).conj_t(1)
     target = a1 * w * b1
     result = derivation_descent(
-        AttackInstance(AttackPlan(pub, None, (0, 1)), target), beam=3,
+        AttackInstance(AttackPlan(pub, (), (0, 1)), target), beam=3,
         max_nodes=64, max_len=8)
     assert result.success
     a, b = result.recovered
@@ -1036,15 +1044,14 @@ def test_sweep_byte_identical():
 def test_sweep_bytes_cold_and_warm(monkeypatch):
     # the element and verdict tables change no byte: a sweep on fresh
     # points and lattices, the same sweep on its warm tables, and a sweep
-    # that keeps no table entry print the same CSV
-    attacks._window_lattice.cache_clear()
+    # that keeps no table entry print the same CSV (every call to
+    # _default_grid builds fresh points, so fresh groups and lattices)
     grid = cli._default_grid()
     cold = run_experiments(grid, 12, 29)
     assert all(point.plan.pub.spec_a._elements for point in grid)
     assert run_experiments(grid, 12, 29) == cold
     for module in (grammars, attacks):
         monkeypatch.setattr(module, "VALUE_TABLE_BOUND", 0)
-    attacks._window_lattice.cache_clear()
     assert run_experiments(cli._default_grid(), 12, 29) == cold
 
 
